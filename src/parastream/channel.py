@@ -39,20 +39,6 @@ class ChannelRealization:
     sigma2: float
 
 
-def normalize_power(z, power=1.0):
-    """Scale z so its average symbol power is exactly `power`.
-
-    The zero vector passes through unchanged.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    if z.size == 0:
-        raise ValueError("cannot normalize an empty vector")
-    current = np.vdot(z, z).real
-    if current == 0.0:
-        return z
-    return z * np.sqrt(power * z.size / current)
-
-
 def snr_to_sigma2(snr_db, power=1.0):
     """Noise power sigma2 = power * 10^(-snr_db / 10)."""
     if power <= 0:

@@ -40,8 +40,3 @@ def qpsk_soft_demod(y, h, sigma2):
     llr[..., 0::2] = scale * w.real
     llr[..., 1::2] = scale * w.imag
     return np.clip(llr, -LLR_SAT, LLR_SAT)
-
-
-def hard_bits(llr):
-    """Hard decisions from LLRs (LLR < 0 decides bit 1)."""
-    return (np.asarray(llr) < 0).astype(np.uint8)

@@ -157,21 +157,6 @@ def power_gain(z: np.ndarray, power: float = 1.0) -> float:
     return math.sqrt(power * z.size / energy)
 
 
-def pair_reals(reals: np.ndarray) -> np.ndarray:
-    """Consecutive reals to complex symbols, zero-padding an odd tail."""
-    reals = np.asarray(reals, dtype=np.float64).reshape(-1)
-    if reals.size % 2:
-        reals = np.append(reals, 0.0)
-    return reals[0::2] + 1j * reals[1::2]
-
-
-def unpair_reals(symbols: np.ndarray, count: int) -> np.ndarray:
-    out = np.empty(symbols.size * 2)
-    out[0::2] = symbols.real
-    out[1::2] = symbols.imag
-    return out[:count]
-
-
 def split_source(x, q: int):
     """Compress/decompress x and split it into the pipeline's source of
     truth and its two parts: returns (x_ref, x_c, x_r, blob) where
@@ -216,16 +201,28 @@ def _send_conventional(blob, shape, cfg, pcm, trial):
     return x_c, corrupted, segments
 
 
-def _send_semantic(reals, cfg, trial):
-    """Analog transmission of the bank outputs: pair, normalize, cross
-    the channel, zero-force equalize with the out-of-band gain."""
-    z = pair_reals(reals)
-    gain = power_gain(z, cfg.channel.power)
-    y, real = transmit(gain * z, cfg.channel, trial)
-    denom = gain * real.h
-    safe = np.where(denom == 0, 1.0, denom)
-    w = np.where(denom == 0, 0.0, y / safe)
-    return unpair_reals(w, reals.size), z.size
+def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
+    """Analog transmission of one real feature vector, differentiable.
+
+    Consecutive reals pair into complex symbols (odd tail zero-padded)
+    and the block is scaled to average power chan.power before it
+    crosses the channel at `trial`. The receiver zero-forces with the
+    known gain and channel estimate, so each real arrives as itself
+    plus the equalized noise n/h divided by the power gain; that gain
+    stays in the graph (unit gain for an all-zero block). A symbol
+    whose h is zero arrives erased: both of its reals read zero.
+    """
+    length = vec.data.shape[0]
+    reals = np.append(vec.data, np.zeros(length % 2))
+    z = reals[0::2] + 1j * reals[1::2]
+    _, real = transmit(power_gain(z, chan.power) * z, chan, trial)
+    erased = real.h == 0
+    zf = np.where(erased, 0.0, real.n / np.where(erased, 1.0, real.h))
+    noise = Tensor(np.stack([zf.real, zf.imag], axis=-1).reshape(-1)[:length])
+    keep = Tensor(np.repeat(~erased, 2)[:length].astype(np.float64))
+    energy = (vec * vec).sum()
+    inv_gain = (energy / (chan.power * z.size)) ** 0.5 if energy.data else 1.0
+    return (vec + noise * inv_gain) * keep
 
 
 def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
@@ -251,18 +248,19 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         r_tilde = rate.quantize(r, "test")
         mu, sigma = model.hyper(r_tilde)
         alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
-        sent = model.banks.encode(s_tilde, alloc)[0].data
-        received, sem_symbols = _send_semantic(sent, cfg, 2 * seed + 1)
+        sent = model.banks.encode(s_tilde, alloc)[0]
+        received = send_analog(sent, cfg.channel, 2 * seed + 1)
         side_blob = rate.pack_rate_indices(alloc.indices()[0])
         rx_idx = rate.unpack_rate_indices(side_blob, alloc.k_s)
         rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(
             alloc.alpha_bar.shape[1:]
         )
-        s_hat = model.banks.decode(Tensor(received), rx_widths)
+        s_hat = model.banks.decode(received, rx_widths)
         x_hat = tensor_to_image(
             model.decoder(image_to_tensor(x_c_hat), s_hat, cfg.channel.snr_db)
         )
         semantic_dims = int(alloc.totals()[0])
+        sem_symbols = -(-semantic_dims // 2)
         side_bits = rate.SIDE_BITS_PER_PATCH * alloc.k_s
         side_symbols = rate.side_channel_symbols(alloc.k_s)
         clamped = alloc.clamped

@@ -243,14 +243,6 @@ class RateBanks(Module):
         return grid.transpose(0, 3, 1, 2)
 
 
-def cbr(alloc_totals, m: int, k: int) -> float:
-    """Channel bandwidth ratio (ceil(sum(alpha_bar)/2) + m) / k with the
-    semantic dimensions paired into complex symbols."""
-    if k == 0:
-        raise ValueError("source dimension k must be positive")
-    return (math.ceil(int(alloc_totals) / 2) + m) / k
-
-
 def cbr_real_dims(alloc_totals, m: int, k: int) -> float:
     """Diagnostic variant counting semantic real dimensions directly."""
     if k == 0:
@@ -265,33 +257,17 @@ def side_channel_symbols(k_s: int) -> int:
 
 def pack_rate_indices(indices) -> bytes:
     """Pack rate-set indices (5 bits each, big-endian) into bytes."""
-    bits = []
-    for value in np.asarray(indices).reshape(-1):
-        if not 0 <= value < 32:
-            raise ValueError("rate index out of 5-bit range")
-        bits.extend((int(value) >> shift) & 1 for shift in range(4, -1, -1))
-    while len(bits) % 8:
-        bits.append(0)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for bit in bits[i : i + 8]:
-            byte = (byte << 1) | bit
-        out.append(byte)
-    return bytes(out)
+    values = np.asarray(indices).reshape(-1)
+    if not np.all((values >= 0) & (values < 32)):
+        raise ValueError("rate index out of 5-bit range")
+    bits = np.unpackbits(values.astype(np.uint8)[:, None], axis=1)[:, 3:]
+    return np.packbits(bits.reshape(-1)).tobytes()
 
 
 def unpack_rate_indices(blob: bytes, count: int) -> np.ndarray:
     """Inverse of pack_rate_indices for `count` indices."""
     if len(blob) * 8 < count * SIDE_BITS_PER_PATCH:
         raise ValueError("side-channel blob too short")
-    bits = []
-    for byte in blob:
-        bits.extend((byte >> shift) & 1 for shift in range(7, -1, -1))
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        value = 0
-        for bit in bits[i * 5 : i * 5 + 5]:
-            value = (value << 1) | bit
-        out[i] = value
-    return out
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
+    fields = bits[: count * SIDE_BITS_PER_PATCH].reshape(count, SIDE_BITS_PER_PATCH)
+    return fields @ (1 << np.arange(SIDE_BITS_PER_PATCH - 1, -1, -1))

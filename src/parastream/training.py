@@ -7,6 +7,14 @@ full variable-rate path. Stage 3 fine-tunes all parameters under a
 polynomial learning-rate decay. Every batch samples one SNR from the
 training set and runs the conventional branch for real (no gradients),
 so the decoder sees genuinely corrupted reconstructions at low SNR.
+
+Both streams cross the same channel functions that `transmit_image`
+uses (`pipeline._send_conventional` and `pipeline.send_analog`), so
+training noise comes from `ChannelConfig.seed` and a trial index. The
+image at position i of step s in stage k is keyed on
+t = 3 * (s * batch_size + i) + k - 1; its conventional stream takes
+channel trial 2t and its semantic stream 2t + 1, so no realization
+repeats within or across the three stages.
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rate
-from .autodiff import Tensor
-from .channel import snr_to_sigma2
 from .encoder import batch_to_tensor
 from .pipeline import (
     ModelConfig,
@@ -27,6 +33,7 @@ from .pipeline import (
     SemanticModel,
     _send_conventional,
     load_code,
+    send_analog,
     split_source,
 )
 from .rng import make_rng
@@ -98,54 +105,23 @@ def rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, lambda1):
     return mse + (lambda1 / x.data.shape[0]) * bits
 
 
-def send_analog(vec: Tensor, power: float, noise: np.ndarray) -> Tensor:
-    """Differentiable analog channel for one feature vector.
-
-    Pairs reals into complex symbols, power-normalizes (the gain enters
-    the graph), adds the pre-drawn zero-forced complex noise, and
-    un-normalizes. `noise` holds the equalized noise as reals, one per
-    transmitted real dimension (including a padded odd slot).
-    """
-    length = vec.data.shape[0]
-    padded = length + (length % 2)
-    if padded != length:
-        vec = ad.concat([vec, Tensor(np.zeros(1))], axis=0)
-    energy = (vec * vec).sum()
-    energy = energy + ad.leaky_relu(1e-12 - energy, 0.0)
-    gamma = (power * (padded / 2.0) / energy) ** 0.5
-    received = vec + Tensor(noise[:padded]) * (1.0 / gamma)
-    return received[:length] if padded != length else received
-
-
-def _zf_noise(rng, count, sigma2, kind, block_len):
-    """Equalized channel noise for `count` complex symbols, as reals."""
-    n = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    )
-    if kind == "rayleigh_block":
-        blocks = -(-count // block_len)
-        g = (rng.standard_normal(blocks) + 1j * rng.standard_normal(blocks)) / np.sqrt(2.0)
-        h = np.repeat(g, block_len)[:count]
-        n = n / h
-    out = np.empty(count * 2)
-    out[0::2] = n.real
-    out[1::2] = n.imag
-    return out
-
-
 def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     """One differentiable pass over a batch at a fixed SNR.
 
-    Returns (loss, parts) where parts carries the tensors a caller may
-    inspect (x_hat, s_tilde, alloc when the banks are in the loop).
+    `trial` is the index of the batch's first image within the stage;
+    image i crosses the channel as t = 3 * (trial + i) + stage - 1, its
+    conventional stream at channel trial 2t and its semantic stream at
+    2t + 1. Returns (loss, parts) where parts carries the tensors a
+    caller may inspect (x_hat, s_tilde, alloc when the banks are in the
+    loop).
     """
     chan = replace(pcfg.channel, snr_db=float(snr_db))
-    sigma2 = snr_to_sigma2(chan.snr_db, chan.power)
+    keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
     refs, residuals, received_cond = [], [], []
-    for i, img in enumerate(images):
+    for img, t in zip(images, keys):
         x_ref, _, x_r, blob = split_source(img, pcfg.q)
         x_c_hat, _, _ = _send_conventional(
-            blob, x_ref.shape, replace(pcfg, channel=chan), pcm, trial + i
+            blob, x_ref.shape, replace(pcfg, channel=chan), pcm, 2 * t
         )
         refs.append(x_ref)
         residuals.append(x_r)
@@ -159,23 +135,18 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     if stage == 1:
         batch, channels, height, width = s.data.shape
         flat = s.reshape(batch, channels * height * width)
-        rows = []
-        for b in range(batch):
-            noise = _zf_noise(
-                rng, (flat.data.shape[1] + 1) // 2, sigma2, chan.kind, chan.block_len
-            )
-            rows.append(send_analog(flat[b], chan.power, noise).reshape(1, -1))
+        rows = [
+            send_analog(flat[b], chan, 2 * t + 1).reshape(1, -1)
+            for b, t in enumerate(keys)
+        ]
         s_hat = ad.concat(rows, axis=0).reshape(batch, channels, height, width)
     else:
         alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
         encoded = model.banks.encode(s_tilde, alloc)
-        rows = []
-        for b, vec in enumerate(encoded):
-            noise = _zf_noise(
-                rng, (vec.data.shape[0] + 1) // 2, sigma2, chan.kind, chan.block_len
-            )
-            received = send_analog(vec, chan.power, noise)
-            rows.append(model.banks.decode(received, alloc.alpha_bar[b]))
+        rows = [
+            model.banks.decode(send_analog(vec, chan, 2 * t + 1), alloc.alpha_bar[b])
+            for b, (vec, t) in enumerate(zip(encoded, keys))
+        ]
         s_hat = ad.concat(rows, axis=0)
     x_hat = model.decoder(batch_to_tensor(received_cond), s_hat, snr_db)
     loss = rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, pcfg.lambda1)
@@ -222,7 +193,7 @@ def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
         opt.zero_grad()
         loss, _ = training_forward(
             model, images, pcfg, snr_db, rng, cfg.stage, pcm,
-            trial=(cfg.stage * cfg.steps + step) * cfg.batch_size,
+            trial=step * cfg.batch_size,
         )
         loss.backward()
         opt.step()

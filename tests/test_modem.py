@@ -62,7 +62,7 @@ class TestSoftDemod:
         symbols = modem.qpsk_modulate(bits)
         h = 0.9 * np.exp(1j * 0.8)
         llr = modem.qpsk_soft_demod(h * symbols, h, 0.5)
-        np.testing.assert_array_equal(modem.hard_bits(llr), bits)
+        np.testing.assert_array_equal(llr < 0, bits)
 
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma2"):
@@ -72,7 +72,7 @@ class TestSoftDemod:
     def test_noiseless_round_trip(self, bits):
         bits = np.array(bits)
         llr = modem.qpsk_soft_demod(modem.qpsk_modulate(bits), 1.0, 1e-3)
-        np.testing.assert_array_equal(modem.hard_bits(llr), bits)
+        np.testing.assert_array_equal(llr < 0, bits)
 
     def test_llr_scales_inversely_with_noise(self):
         y = np.array([0.3 + 0.1j])

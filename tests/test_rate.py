@@ -324,16 +324,10 @@ class TestRateBanks:
 
 
 class TestCbr:
-    def test_semantic_reals_pair_into_symbols(self):
-        assert rate.cbr(100, 26, 768) == pytest.approx(76.0 / 768.0)
-        assert rate.cbr(101, 26, 768) == pytest.approx(77.0 / 768.0)
-
     def test_real_dims_variant_counts_reals(self):
         assert rate.cbr_real_dims(100, 26, 768) == pytest.approx(126.0 / 768.0)
 
     def test_zero_source_dimension_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            rate.cbr(10, 5, 0)
         with pytest.raises(ValueError, match="positive"):
             rate.cbr_real_dims(10, 5, 0)
 

@@ -1,12 +1,13 @@
-"""Loss, optimizer, analog training channel, and the staged schedule."""
+"""Loss, optimizer, the analog channel training crosses, and the staged
+schedule."""
 
 import numpy as np
 import pytest
 
-from parastream import rate, training
+from parastream import pipeline, rate, training
 from parastream.autodiff import Tensor
-from parastream.channel import ChannelConfig
-from parastream.pipeline import PipelineConfig, load_code
+from parastream.channel import ChannelConfig, ChannelRealization, draw_realization
+from parastream.pipeline import PipelineConfig, load_code, power_gain, send_analog
 from parastream.rng import make_rng
 from parastream.training import (
     Adam,
@@ -14,7 +15,6 @@ from parastream.training import (
     poly_lr,
     rd_loss,
     save_model,
-    send_analog,
     train,
     training_forward,
 )
@@ -138,61 +138,108 @@ class TestTrainConfig:
             TrainConfig(stage=1, lr=0.0)
 
 
+def expected_analog(vec, chan, trial):
+    """vec plus the zero-forced noise of draw_realization, divided by
+    the power gain of the paired block: the receiver's reals, built
+    without send_analog."""
+    reals = np.append(vec, np.zeros(vec.size % 2))
+    z = reals[0::2] + 1j * reals[1::2]
+    real = draw_realization(chan, z.size, trial)
+    zf = real.n / real.h
+    noise = np.stack([zf.real, zf.imag], axis=-1).reshape(-1)[: vec.size]
+    return vec + noise / power_gain(z, chan.power)
+
+
 class TestSendAnalog:
     def test_zero_noise_is_identity(self):
         vec = Tensor(make_rng(1).standard_normal(5), requires_grad=True)
-        out = send_analog(vec, 1.0, np.zeros(6))
+        out = send_analog(vec, ChannelConfig(snr_db=np.inf), trial=0)
         np.testing.assert_array_equal(out.data, vec.data)
 
     def test_noise_scaled_by_inverse_gain(self):
-        # four unit reals make two unit-power symbols, so gamma is
-        # sqrt(2/4) and the receiver divides the noise by it
-        vec = Tensor(np.ones(4), requires_grad=True)
-        noise = np.array([1.0, 0.0, 0.0, 0.0])
-        out = send_analog(vec, 1.0, noise)
-        np.testing.assert_allclose(out.data[0], 1.0 + np.sqrt(2.0), rtol=1e-12)
-        np.testing.assert_allclose(out.data[1:], 1.0, rtol=1e-12)
+        for kind in ("awgn", "rayleigh_block"):
+            for length in (6, 7):
+                chan = ChannelConfig(
+                    kind=kind, snr_db=8.0, power=2.0, block_len=2, seed=4
+                )
+                vec = make_rng(length).standard_normal(length) * 3.0
+                out = send_analog(Tensor(vec), chan, trial=5)
+                np.testing.assert_allclose(
+                    out.data, expected_analog(vec, chan, 5), rtol=1e-12
+                )
+
+    def test_all_zero_block_has_unit_gain(self):
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=6.0, block_len=2, seed=1)
+        for length in (6, 7):
+            zeros = np.zeros(length)
+            out = send_analog(Tensor(zeros), chan, trial=2)
+            np.testing.assert_array_equal(out.data, expected_analog(zeros, chan, 2))
+
+    def test_zero_gain_erases_its_reals(self, monkeypatch):
+        def fading(z, cfg, trial=0):
+            real = draw_realization(cfg, z.size, trial)
+            h = real.h.copy()
+            h[[1, 3]] = 0.0
+            return h * z + real.n, ChannelRealization(h=h, n=real.n, sigma2=real.sigma2)
+
+        monkeypatch.setattr(pipeline, "transmit", fading)
+        chan = ChannelConfig(kind="awgn", snr_db=10.0, seed=2)
+        vec = Tensor(make_rng(7).standard_normal(7))
+        out = send_analog(vec, chan, trial=1)
+        erased = [2, 3, 6]
+        np.testing.assert_array_equal(out.data[erased], 0.0)
+        kept = [0, 1, 4, 5]
+        np.testing.assert_allclose(
+            out.data[kept], expected_analog(vec.data, chan, 1)[kept], rtol=1e-12
+        )
 
     def test_snr_is_amplitude_invariant(self):
         # scaling the payload scales the effective noise with it
-        rng = make_rng(2)
-        base = rng.standard_normal(6)
-        noise = rng.standard_normal(6)
-        small = send_analog(Tensor(base), 1.0, noise).data
-        large = send_analog(Tensor(10.0 * base), 1.0, noise).data
+        base = make_rng(2).standard_normal(6)
+        chan = ChannelConfig(kind="awgn", snr_db=5.0, seed=3)
+        small = send_analog(Tensor(base), chan, trial=4).data
+        large = send_analog(Tensor(10.0 * base), chan, trial=4).data
         np.testing.assert_allclose(large, 10.0 * small, rtol=1e-10)
 
     def test_gradient_through_gain(self):
         rng = make_rng(3)
         vec = Tensor(rng.standard_normal(7), requires_grad=True)
-        noise = rng.standard_normal(8)
         proj = rng.standard_normal(7)
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=6.0, block_len=2, seed=5)
 
         def fn():
-            return (send_analog(vec, 1.0, noise) * Tensor(proj)).sum()
+            return (send_analog(vec, chan, trial=8) * Tensor(proj)).sum()
 
         assert gradcheck(fn, [vec]) < 1e-4
 
 
 class TestZfNoise:
+    """The equalized noise send_analog adds, read off an all-zero block
+    (unit gain)."""
+
     def test_awgn_moments(self):
-        out = training._zf_noise(make_rng(4), 200_000, 0.5, "awgn", 1)
-        assert out.shape == (400_000,)
+        chan = ChannelConfig(kind="awgn", snr_db=10.0 * np.log10(2.0), seed=4)
+        out = send_analog(Tensor(np.zeros(400_000)), chan, trial=0).data
         assert abs(out.mean()) < 5e-3
         np.testing.assert_allclose(out.var(), 0.25, rtol=0.02)
 
     def test_deterministic(self):
-        a = training._zf_noise(make_rng(5), 1000, 0.1, "awgn", 1)
-        b = training._zf_noise(make_rng(5), 1000, 0.1, "awgn", 1)
-        np.testing.assert_array_equal(a, b)
+        vec = Tensor(make_rng(5).standard_normal(999))
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=3.0, block_len=8, seed=6)
+        first = send_analog(vec, chan, trial=11).data
+        assert first.tobytes() == send_analog(vec, chan, trial=11).data.tobytes()
+        assert first.tobytes() != send_analog(vec, chan, trial=12).data.tobytes()
+        other_seed = ChannelConfig(kind="rayleigh_block", snr_db=3.0, block_len=8, seed=7)
+        assert first.tobytes() != send_analog(vec, other_seed, trial=11).data.tobytes()
 
     def test_rayleigh_block_equalized(self):
-        out = training._zf_noise(make_rng(6), 1000, 0.1, "rayleigh_block", 64)
-        assert out.shape == (2000,)
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=10.0, block_len=64, seed=6)
+        out = send_analog(Tensor(np.zeros(2000)), chan, trial=0).data
         assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, expected_analog(np.zeros(2000), chan, 0), rtol=1e-12)
         # fading makes the equalized noise heavier-tailed than AWGN
-        awgn = training._zf_noise(make_rng(6), 1000, 0.1, "awgn", 1)
-        assert np.abs(out).max() != np.abs(awgn).max()
+        awgn = send_analog(Tensor(np.zeros(2000)), ChannelConfig(snr_db=10.0, seed=6), 0)
+        assert np.abs(out).max() != np.abs(awgn.data).max()
 
 
 class TestTrainingForward:
@@ -289,6 +336,23 @@ class TestTrainLoop:
         assert len(history) == 3
         assert all(np.isfinite(v) for v in history)
         assert model.stage == 1
+
+    def test_channel_trials_never_repeat(self, monkeypatch):
+        # every image of every step and stage draws its own realization
+        # for each of its two streams
+        trials = []
+        original = pipeline.transmit
+
+        def spy(z, cfg, trial=0):
+            trials.append(trial)
+            return original(z, cfg, trial)
+
+        monkeypatch.setattr(pipeline, "transmit", spy)
+        model = toy_model()
+        model, _ = train(self._cfg(1, steps=3), toy_images(), model, toy_pipeline())
+        model, _ = train(self._cfg(2, steps=2), toy_images(), model, toy_pipeline())
+        assert len(set(trials)) == len(trials)
+        assert len(trials) == (3 + 2) * 2 * 2
 
     def test_stage2_only_moves_the_banks(self):
         model = toy_model()
