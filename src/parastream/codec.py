@@ -259,6 +259,8 @@ def compress(x: np.ndarray, q: int) -> bytes:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 1 or x.shape[2] < 1:
         raise CodecError(f"image must be H x W x C with positive dims, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise CodecError("image holds non-finite pixels")
     h, w, c = x.shape
     if h > 0xFFFF or w > 0xFFFF or c > 0xFF:
         raise CodecError(f"image dims exceed header field widths: {x.shape}")

@@ -70,6 +70,7 @@ class SemanticEncoder(Module):
     def __init__(self, rng, widths=DEFAULT_WIDTHS, c_in=3):
         super().__init__()
         self.widths = tuple(widths)
+        self.c_in = c_in
         rems = []
         prev = c_in
         for i, width in enumerate(self.widths):
@@ -80,6 +81,15 @@ class SemanticEncoder(Module):
     @property
     def scale(self):
         return 2 ** len(self.widths)
+
+    def check_image(self, shape):
+        """Raise DimensionError unless `shape` is an H x W x c_in image
+        with H and W multiples of the scale."""
+        if tuple(shape[2:]) != (self.c_in,) or any(n % self.scale for n in shape[:2]):
+            raise DimensionError(
+                f"semantic input must be H x W x {self.c_in} with H and W "
+                f"multiples of {self.scale}, got {tuple(shape)}"
+            )
 
     def __call__(self, x: Tensor, x_r: Tensor):
         if x.data.shape != x_r.data.shape:

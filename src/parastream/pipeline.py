@@ -232,6 +232,9 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     streams use channel trials 2*seed and 2*seed+1, so every call index
     sees independent realizations of the same configured channel.
     """
+    if cfg.semantic:
+        model = SemanticModel(cfg.model) if model is None else model
+        model.encoder.check_image(np.shape(x))
     if pcm is None:
         pcm = load_code(cfg.code)
     x_ref, _, x_r, blob = split_source(x, cfg.q)
@@ -241,8 +244,6 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     )
 
     if cfg.semantic:
-        if model is None:
-            model = SemanticModel(cfg.model)
         s, r = model.encoder(image_to_tensor(x_ref), image_to_tensor(x_r))
         s_tilde = rate.quantize(s, "test")
         r_tilde = rate.quantize(r, "test")
@@ -252,10 +253,8 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         received = send_analog(sent, cfg.channel, 2 * seed + 1)
         side_blob = rate.pack_rate_indices(alloc.indices()[0])
         rx_idx = rate.unpack_rate_indices(side_blob, alloc.k_s)
-        rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(
-            alloc.alpha_bar.shape[1:]
-        )
-        s_hat = model.banks.decode(received, rx_widths)
+        rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(alloc.alpha_bar.shape)
+        s_hat = model.banks.decode([received], rx_widths)
         x_hat = tensor_to_image(
             model.decoder(image_to_tensor(x_c_hat), s_hat, cfg.channel.snr_db)
         )

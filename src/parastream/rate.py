@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .layers import Conv2d, Linear, Module, ModuleList, leaky_relu
+from .layers import Conv2d, Module, leaky_relu
 
 RATE_SET = tuple(range(4, 129, 4))
 RHO = 0.2
@@ -171,28 +171,34 @@ class RateBanks(Module):
 
     The encoder adds the token of the patch's rate to the patch vector
     and maps it through the bank of that rate; the decoder bank maps the
-    received reals back to the embedding dimension. Banks initialize to
-    truncated identities so the square case starts as a perfect round
-    trip; tokens initialize to zero.
+    received reals back to the embedding dimension. Rate W[r] owns
+    columns starts[r]:starts[r]+W[r] of enc_weight [C, sum(W)] and
+    enc_bias, the same rows of dec_weight, and dec_bias[r]. Banks start
+    as truncated identities, so the square case is a perfect round
+    trip; tokens start at zero. Nothing is drawn from `rng`.
     """
 
     def __init__(self, c_s, rng, rate_set=RATE_SET):
         super().__init__()
         self.c_s = c_s
-        self.rate_set = tuple(rate_set)
-        self.tokens = Tensor(
-            np.zeros((len(self.rate_set), c_s)), requires_grad=True
-        )
-        enc, dec = [], []
-        for w in self.rate_set:
-            fwd = Linear(c_s, w, rng)
-            fwd.weight.data = np.eye(c_s, w)
-            inv = Linear(w, c_s, rng)
-            inv.weight.data = np.eye(w, c_s)
-            enc.append(fwd)
-            dec.append(inv)
-        self.enc = ModuleList(enc)
-        self.dec = ModuleList(dec)
+        self.widths = np.asarray(rate_set)
+        self.starts = np.cumsum(self.widths) - self.widths
+        eye = np.concatenate([np.eye(c_s, w) for w in self.widths], axis=1)
+        self.tokens = Tensor(np.zeros((self.widths.size, c_s)), requires_grad=True)
+        self.enc_weight = Tensor(eye, requires_grad=True)
+        self.enc_bias = Tensor(np.zeros(eye.shape[1]), requires_grad=True)
+        self.dec_weight = Tensor(eye.T.copy(), requires_grad=True)
+        self.dec_bias = Tensor(np.zeros((self.widths.size, c_s)), requires_grad=True)
+
+    def _layout(self, alpha_bar):
+        """Per patch of a [B,H,W] grid, raster order: its rate index; per
+        slot j < widest, whether it holds a real (True entries, row-major,
+        are the stream) and its bank column/row starts[idx] + j."""
+        idx = np.searchsorted(self.widths, alpha_bar.reshape(-1))
+        widths = self.widths[idx]
+        slot = np.arange(widths.max())
+        sizes = widths.reshape(alpha_bar.shape[0], -1).sum(axis=1)
+        return idx, sizes, slot < widths[:, None], self.starts[idx][:, None] + slot
 
     def encode(self, s_tilde: Tensor, alloc: RateAllocation):
         """Flatten patches, add rate tokens, stretch each to its rate.
@@ -205,42 +211,30 @@ class RateBanks(Module):
             raise ValueError(f"banks built for {self.c_s} channels, got {channels}")
         if alloc.alpha_bar.shape != (batch, height, width):
             raise ValueError("allocation grid does not match the feature grid")
-        idx = alloc.indices().reshape(batch, height * width)
-        patches = s_tilde.transpose(0, 2, 3, 1).reshape(
-            batch, height * width, channels
-        )
-        vectors = patches + self.tokens[idx]
-        outs = []
-        for b in range(batch):
-            parts = [
-                self.enc[idx[b, p]](vectors[b, p : p + 1]).reshape(-1)
-                for p in range(height * width)
-            ]
-            outs.append(ad.concat(parts, axis=0))
-        return outs
+        idx, sizes, mask, bank = self._layout(alloc.alpha_bar)
+        patches = s_tilde.transpose(0, 2, 3, 1).reshape(idx.size, channels)
+        every_rate = (patches + self.tokens[idx]) @ self.enc_weight + self.enc_bias
+        reals = every_rate[np.nonzero(mask)[0], bank[mask]]
+        return [reals[end - size : end] for size, end in zip(sizes, np.cumsum(sizes))]
 
-    def decode(self, reals: Tensor, alloc_row: np.ndarray) -> Tensor:
-        """Inverse-map one image's reals back to a [1,C,H,W] feature grid.
+    def decode(self, received, alpha_bar: np.ndarray) -> Tensor:
+        """Inverse-map a batch of received reals to a [B,C,H,W] grid.
 
-        alloc_row is that image's alpha_bar grid [H,W]; a length mismatch
-        between the symbol stream and sum(alpha_bar) is a hard error.
+        received holds one real Tensor per image, as encode returns
+        them, and alpha_bar is the [B,H,W] grid of allotted dimensions;
+        a length mismatch between any image's stream and its
+        sum(alpha_bar) is a hard error.
         """
-        height, width = alloc_row.shape
-        widths = alloc_row.reshape(-1)
-        total = int(widths.sum())
-        if reals.data.shape != (total,):
-            raise ValueError(
-                f"semantic payload holds {reals.data.shape} reals, "
-                f"allocation expects ({total},)"
-            )
-        indices = np.searchsorted(self.rate_set, widths)
-        offsets = np.concatenate([[0], np.cumsum(widths)])
-        parts = []
-        for p in range(height * width):
-            segment = reals[offsets[p] : offsets[p + 1]].reshape(1, -1)
-            parts.append(self.dec[indices[p]](segment))
-        grid = ad.concat(parts, axis=0).reshape(1, height, width, self.c_s)
-        return grid.transpose(0, 3, 1, 2)
+        idx, sizes, mask, bank = self._layout(alpha_bar)
+        got, expected = [v.data.shape for v in received], [(int(n),) for n in sizes]
+        if got != expected:
+            raise ValueError(f"semantic payload holds {got} reals, allocation {expected}")
+        # empty slots read the zero appended to the stream, times bank row 0
+        slots = np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, mask.sum())
+        reals = ad.concat([*received, np.zeros(1)])[slots].reshape(idx.size, 1, -1)
+        features = reals @ self.dec_weight[np.where(mask, bank, 0)]
+        grid = features.reshape(idx.size, self.c_s) + self.dec_bias[idx]
+        return grid.reshape(*alpha_bar.shape, self.c_s).transpose(0, 3, 1, 2)
 
 
 def cbr_real_dims(alloc_totals, m: int, k: int) -> float:

@@ -133,21 +133,14 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     mu, sigma = model.hyper(r_tilde)
     alloc = None
     if stage == 1:
-        batch, channels, height, width = s.data.shape
-        flat = s.reshape(batch, channels * height * width)
-        rows = [
-            send_analog(flat[b], chan, 2 * t + 1).reshape(1, -1)
-            for b, t in enumerate(keys)
-        ]
-        s_hat = ad.concat(rows, axis=0).reshape(batch, channels, height, width)
+        flat = s.reshape(len(keys), -1)
+        rows = [send_analog(flat[b], chan, 2 * t + 1) for b, t in enumerate(keys)]
+        s_hat = ad.stack(rows).reshape(s.data.shape)
     else:
         alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
         encoded = model.banks.encode(s_tilde, alloc)
-        rows = [
-            model.banks.decode(send_analog(vec, chan, 2 * t + 1), alloc.alpha_bar[b])
-            for b, (vec, t) in enumerate(zip(encoded, keys))
-        ]
-        s_hat = ad.concat(rows, axis=0)
+        received = [send_analog(v, chan, 2 * t + 1) for v, t in zip(encoded, keys)]
+        s_hat = model.banks.decode(received, alloc.alpha_bar)
     x_hat = model.decoder(batch_to_tensor(received_cond), s_hat, snr_db)
     loss = rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, pcfg.lambda1)
     return loss, {"x_hat": x_hat, "s_tilde": s_tilde, "alloc": alloc}

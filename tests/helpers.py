@@ -28,6 +28,46 @@ def conv2d_oracle(x, w, b=None, stride=1, padding=1):
     return out
 
 
+def banks_encode_oracle(banks, s_tilde, alpha_bar):
+    """Per-patch reference for RateBanks.encode: each patch vector plus
+    its rate token through that rate's column slice of enc_weight and
+    enc_bias, concatenated in raster order per image."""
+    from parastream import autodiff as ad
+
+    batch, channels, height, width = s_tilde.data.shape
+    outs = []
+    for b in range(batch):
+        parts = []
+        for i in range(height):
+            for j in range(width):
+                r = int(np.searchsorted(banks.widths, alpha_bar[b, i, j]))
+                cols = slice(banks.starts[r], banks.starts[r] + banks.widths[r])
+                vec = (s_tilde[b, :, i, j] + banks.tokens[r]).reshape(1, channels)
+                out = vec @ banks.enc_weight[:, cols] + banks.enc_bias[cols]
+                parts.append(out.reshape(-1))
+        outs.append(ad.concat(parts))
+    return outs
+
+
+def banks_decode_oracle(banks, received, alpha_bar):
+    """Per-patch reference for RateBanks.decode: each patch's reals
+    through that rate's row slice of dec_weight plus its dec_bias."""
+    from parastream import autodiff as ad
+
+    batch, height, width = alpha_bar.shape
+    rows = []
+    for b in range(batch):
+        offset = 0
+        for w in alpha_bar[b].reshape(-1):
+            r = int(np.searchsorted(banks.widths, w))
+            segment = received[b][offset : offset + w].reshape(1, -1)
+            bank = banks.dec_weight[banks.starts[r] : banks.starts[r] + w]
+            rows.append(segment @ bank + banks.dec_bias[r])
+            offset += w
+    grid = ad.concat(rows).reshape(batch, height, width, banks.c_s)
+    return grid.transpose(0, 3, 1, 2)
+
+
 def max_rel_error(analytic, numeric):
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     if analytic.size == 0:

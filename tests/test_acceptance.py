@@ -186,7 +186,7 @@ def _gradient_battery(rng):
         )
     )
 
-    banks = RateBanks(3, rng)
+    banks = RateBanks(3, rng, rate_set=(4, 8))
     sb = _leaf(rng, (1, 3, 1, 2))
     # patch 0 stays at the smallest rate, patch 1 ceilings into the next one
     probs = np.stack([np.full(3, 0.5), np.full(3, 2.0 ** -10.0)], axis=-1)
@@ -195,14 +195,10 @@ def _gradient_battery(rng):
     pb = rng.normal(size=(1, 3, 1, 2))
 
     def banks_loss():
-        reals = banks.encode(sb, alloc)[0]
-        return projection_loss(banks.decode(reals, alloc.alpha_bar[0]), pb)
+        reals = banks.encode(sb, alloc)
+        return projection_loss(banks.decode(reals, alloc.alpha_bar), pb)
 
-    used = [banks.tokens]
-    for idx in (0, 1):
-        used.extend(banks.enc[idx].parameters())
-        used.extend(banks.dec[idx].parameters())
-    battery.append(("rate-banks", banks_loss, [*used, sb]))
+    battery.append(("rate-banks", banks_loss, [*banks.parameters(), sb]))
 
     return battery
 

@@ -35,6 +35,13 @@ class TestCodecCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_image_fails_cleanly(self, ppm, tmp_path, monkeypatch, capsys):
+        # a P6 file cannot hold NaN, so the reader hands one over directly
+        monkeypatch.setattr(data, "read_ppm", lambda path: np.full((16, 16, 3), np.nan))
+        rc = cli.main(["codec", "--image", str(ppm), "--out", str(tmp_path / "o.ppm")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestTransmitCommand:
     def test_conventional_only(self, ppm, tmp_path, capsys):

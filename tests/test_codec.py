@@ -79,6 +79,13 @@ class TestCompress:
         with pytest.raises(codec.CodecError, match="H x W x C"):
             codec.compress(np.zeros((8, 8)), 50)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        img = np.full((8, 8, 3), 0.5)
+        img[3, 4, 1] = bad
+        with pytest.raises(codec.CodecError, match="non-finite"):
+            codec.compress(img, 50)
+
     def test_non_multiple_of_8_pads_and_recovers(self):
         img = data.blob_image(make_rng(5), 19)
         rec = codec.decompress(codec.compress(img, 90))

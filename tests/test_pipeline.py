@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parastream import codec, data, pipeline
-from parastream.autodiff import Tensor
+from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
 from parastream.rng import make_rng
 
@@ -186,6 +186,18 @@ class TestFullPipeline:
         # semantic stream is the documented zero-power edge case
         pipeline.transmit_image(image, desk_config(), seed=0, model=model)
         assert np.all(recorded[1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "shape, requirement",
+        [((20, 20, 3), "multiples of 16"), ((16, 16, 1), "H x W x 3"), ((16, 16), "H x W x 3")],
+    )
+    def test_semantic_input_shape_checked_first(self, model, monkeypatch, shape, requirement):
+        def no_work(*args):
+            raise AssertionError("the codec ran before the shape check")
+
+        monkeypatch.setattr(pipeline, "split_source", no_work)
+        with pytest.raises(DimensionError, match=requirement):
+            pipeline.transmit_image(np.full(shape, 0.5), desk_config(), model=model)
 
     def test_deterministic_per_seed(self, image, model):
         cfg = desk_config(snr_db=6.0)

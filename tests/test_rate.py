@@ -12,7 +12,12 @@ from parastream import rate
 from parastream.autodiff import Tensor
 from parastream.rng import make_rng
 
-from helpers import gradcheck, projection_loss
+from helpers import (
+    banks_decode_oracle,
+    banks_encode_oracle,
+    gradcheck,
+    projection_loss,
+)
 
 # sigma for which the unit bin around the mean holds exactly half the
 # mass: 0.5 / ndtri(0.75), since P(|Z| < ndtri(0.75)) = 0.5
@@ -261,7 +266,7 @@ class TestRateBanks:
         alloc = self.uniform_alloc(8, (2, 2), 8)
         reals = banks.encode(s, alloc)
         assert reals[0].data.shape == (32,)
-        back = banks.decode(reals[0], alloc.alpha_bar[0])
+        back = banks.decode(reals, alloc.alpha_bar)
         np.testing.assert_array_equal(back.data, s.data)
 
     def test_narrow_bank_truncates_and_pads(self):
@@ -270,7 +275,7 @@ class TestRateBanks:
         alloc = self.uniform_alloc(4, (2, 2), 8)
         reals = banks.encode(s, alloc)
         assert reals[0].data.shape == (16,)
-        back = banks.decode(reals[0], alloc.alpha_bar[0])
+        back = banks.decode(reals, alloc.alpha_bar)
         np.testing.assert_array_equal(back.data[:, :4], s.data[:, :4])
         np.testing.assert_array_equal(back.data[:, 4:], 0.0)
 
@@ -319,8 +324,89 @@ class TestRateBanks:
     def test_payload_length_mismatch_is_hard_error(self):
         banks = rate.RateBanks(4, make_rng(30))
         alloc = self.uniform_alloc(4, (2, 2), 4)
-        with pytest.raises(ValueError, match="semantic payload holds"):
-            banks.decode(Tensor(np.zeros(15)), alloc.alpha_bar[0])
+        # one image's stream one real short, or one stream too many
+        for lengths in [(15,), (16, 16)]:
+            with pytest.raises(ValueError, match="semantic payload holds"):
+                banks.decode([Tensor(np.zeros(n)) for n in lengths], alloc.alpha_bar)
+
+    def test_banks_are_one_matrix_per_direction(self):
+        banks = rate.RateBanks(4, make_rng(31))
+        total = sum(rate.RATE_SET)
+        shapes = {name: p.data.shape for name, p in banks.named_parameters()}
+        assert shapes == {
+            "tokens": (32, 4),
+            "enc_weight": (4, total),
+            "enc_bias": (total,),
+            "dec_weight": (total, 4),
+            "dec_bias": (32, 4),
+        }
+        start = banks.starts[5]
+        np.testing.assert_array_equal(
+            banks.enc_weight.data[:, start : start + 24], np.eye(4, 24)
+        )
+        np.testing.assert_array_equal(
+            banks.dec_weight.data[start : start + 24], np.eye(24, 4)
+        )
+
+
+class TestRateBanksOracle:
+    """The batched banks against the per-patch loop in helpers: batch 2
+    on a 2x3 grid with mixed rates and one patch clamped at 128."""
+
+    ALPHAS = [[[3.9, 7.5, 40.2], [98.5, 200.0, 12.1]],
+              [[55.0, 3.5, 127.9], [8.5, 19.5, 63.5]]]
+    WIDTHS = [[[4, 8, 44], [100, 128, 16]], [[56, 4, 128], [12, 20, 64]]]
+
+    @pytest.fixture()
+    def setup(self):
+        rng = make_rng(40)
+        banks = rate.RateBanks(4, rng)
+        for param in banks.parameters():
+            param.data = rng.standard_normal(param.data.shape)
+        # alpha = -0.2 * 4 channels * log2 p
+        p = 2.0 ** (-np.asarray(self.ALPHAS)[:, None] / 0.8)
+        alloc = rate.allocate_rates(np.repeat(p, 4, axis=1))
+        np.testing.assert_array_equal(alloc.alpha_bar, self.WIDTHS)
+        assert alloc.clamped == 1
+        s = Tensor(rng.standard_normal((2, 4, 2, 3)), requires_grad=True)
+        return banks, alloc, s, rng
+
+    @staticmethod
+    def grads(loss, tensors):
+        for t in tensors:
+            t.grad = None
+        loss.backward()
+        return [t.grad.copy() for t in tensors]
+
+    def test_encode_matches_per_patch_loop(self, setup):
+        banks, alloc, s, rng = setup
+        fast = banks.encode(s, alloc)
+        slow = banks_encode_oracle(banks, s, alloc.alpha_bar)
+        assert [v.data.shape for v in fast] == [v.data.shape for v in slow]
+        proj = [rng.standard_normal(v.data.shape) for v in slow]
+        for a, b in zip(fast, slow):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-12)
+        tensors = [s, banks.tokens, banks.enc_weight, banks.enc_bias]
+
+        def loss(outs):
+            return sum(((v * p).sum() for v, p in zip(outs, proj)), Tensor(0.0))
+
+        for a, b in zip(self.grads(loss(fast), tensors), self.grads(loss(slow), tensors)):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_decode_matches_per_patch_loop(self, setup):
+        banks, alloc, _, rng = setup
+        received = [
+            Tensor(rng.standard_normal(n), requires_grad=True) for n in alloc.totals()
+        ]
+        fast = banks.decode(received, alloc.alpha_bar)
+        slow = banks_decode_oracle(banks, received, alloc.alpha_bar)
+        np.testing.assert_allclose(fast.data, slow.data, rtol=1e-12)
+        proj = rng.standard_normal(slow.data.shape)
+        tensors = [*received, banks.dec_weight, banks.dec_bias]
+        fast_grads = self.grads((fast * proj).sum(), tensors)
+        for a, b in zip(fast_grads, self.grads((slow * proj).sum(), tensors)):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestCbr:
