@@ -82,10 +82,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        """Same values, no graph edge."""
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -236,7 +232,7 @@ class Tensor:
         def grad_fn(g):
             full = np.zeros(src_shape)
             np.add.at(full, index, g)
-            _accumulate(self, full)
+            _accumulate(self, full, owned=True)
 
         return Tensor._from_op(out_data, (self,), grad_fn)
 
@@ -247,13 +243,9 @@ class Tensor:
         src_shape = self.data.shape
 
         def grad_fn(g):
-            if axis is None:
-                _accumulate(self, np.broadcast_to(g, src_shape).copy())
-                return
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            _accumulate(self, np.broadcast_to(g, src_shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accumulate(self, np.broadcast_to(g, src_shape))
 
         return Tensor._from_op(out_data, (self,), grad_fn)
 
@@ -276,12 +268,19 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g into t.grad. A first gradient becomes a float64 array of
+    t's shape: g itself when the caller owns a fresh array of exactly
+    that shape and dtype (owned=True), else a broadcast copy of g."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if owned:
+            t.grad = g
+        else:
+            t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

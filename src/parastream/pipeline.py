@@ -171,7 +171,8 @@ def split_source(x, q: int):
 
 def _send_conventional(blob, shape, cfg, pcm, trial):
     """Compressed bytes through LDPC/QPSK/channel; returns the receiver
-    image, the corruption flag, and the segment table."""
+    image, the corruption flag, and the segment table (which also counts
+    the frames that converged and the BP iterations summed over frames)."""
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
     frames, pad = bits_to_frames(bits, pcm.k)
     code = ldpc.ldpc_encode(pcm, frames)
@@ -180,7 +181,7 @@ def _send_conventional(blob, shape, cfg, pcm, trial):
     y, real = transmit(gain * symbols, cfg.channel, trial)
     sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
     llr = qpsk_soft_demod(y, gain * real.h, sigma2)
-    hard, converged, _ = ldpc.ldpc_decode_bp(
+    hard, converged, iters = ldpc.ldpc_decode_bp(
         pcm, llr.reshape(code.shape), max_iter=cfg.bp_iters
     )
     payload = np.packbits(frames_to_bits(hard[:, : pcm.k], pad)).tobytes()
@@ -190,6 +191,7 @@ def _send_conventional(blob, shape, cfg, pcm, trial):
         "pad_bits": pad,
         "image_symbols": frames.shape[0] * (pcm.n // 2),
         "frames_converged": int(converged.sum()),
+        "bp_iterations": int(iters.sum()),
     }
     corrupted = not bool(converged.all())
     try:
@@ -286,6 +288,7 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
             frame.semantic_dims, frame.image_symbols, frame.k
         ),
         "frames_converged": seg["frames_converged"],
+        "bp_iterations": seg["bp_iterations"],
         "frame_count": len(frame.frame_bits),
         "clamped_patches": clamped,
     }

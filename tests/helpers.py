@@ -68,6 +68,97 @@ def banks_decode_oracle(banks, received, alpha_bar):
     return grid.transpose(0, 3, 1, 2)
 
 
+def syndrome_oracle(pcm, bits):
+    """Per-check parity summed with reduceat over the edge list, the
+    reference for ldpc.syndrome."""
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(pcm.edge_row))])
+    bits = np.atleast_2d(np.asarray(bits)).astype(np.int64)
+    sums = np.add.reduceat(bits[:, pcm.edge_col], row_ptr[:-1], axis=1)
+    return (sums % 2).astype(np.uint8)
+
+
+def ldpc_decode_bp_oracle(pcm, llr, max_iter=50):
+    """Edge-list, log-domain sum-product decoder: the reference that
+    ldpc.ldpc_decode_bp must match in bits, convergence and iterations.
+    Same flooding schedule, early stopping and tanh clip; the check-node
+    product is a sum of log magnitudes, gathered per row and per column
+    with reduceat."""
+    from parastream.ldpc import _TANH_CLIP
+
+    llr = np.asarray(llr, dtype=np.float64)
+    single = llr.ndim == 1
+    llr = np.atleast_2d(llr)
+    frames = llr.shape[0]
+    e_col = pcm.edge_col
+    r_start = np.concatenate([[0], np.cumsum(np.bincount(pcm.edge_row))])[:-1]
+    col_perm = np.argsort(e_col, kind="stable")
+    c_start = np.concatenate([[0], np.cumsum(np.bincount(e_col))])[:-1]
+
+    bits = (llr < 0).astype(np.uint8)
+    converged = ~syndrome_oracle(pcm, bits).any(axis=1)
+    iters = np.zeros(frames, dtype=np.int64)
+    active = ~converged
+
+    v2c = llr[:, e_col]
+    iteration = 0
+    while iteration < max_iter and active.any():
+        iteration += 1
+        msg = v2c[active]
+        t = np.tanh(0.5 * msg)
+        np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+        zero = t == 0.0
+        sign = np.where(t < 0.0, -1.0, 1.0)
+        logmag = np.log(np.abs(np.where(zero, 1.0, t)))
+
+        neg = np.add.reduceat((sign < 0).astype(np.int64), r_start, axis=1)
+        zeros = np.add.reduceat(zero.astype(np.int64), r_start, axis=1)
+        logsum = np.add.reduceat(logmag, r_start, axis=1)
+
+        e_row = pcm.edge_row
+        other_zero = zeros[:, e_row] - zero
+        magnitude = np.exp(logsum[:, e_row] - logmag)
+        np.clip(magnitude, None, _TANH_CLIP, out=magnitude)
+        row_sign = 1.0 - 2.0 * (neg[:, e_row] % 2)
+        product = np.where(other_zero > 0, 0.0, row_sign * sign * magnitude)
+        c2v = 2.0 * np.arctanh(product)
+
+        col_sums = np.add.reduceat(c2v[:, col_perm], c_start, axis=1)
+        total = llr[active] + col_sums
+        v2c[active] = total[:, e_col] - c2v
+
+        hard = (total < 0.0).astype(np.uint8)
+        bits[active] = hard
+        ok = ~syndrome_oracle(pcm, hard).any(axis=1)
+        indices = np.flatnonzero(active)[ok]
+        iters[indices] = iteration
+        converged[indices] = True
+        active[indices] = False
+
+    iters[~converged] = iteration
+    if single:
+        return bits[0], bool(converged[0]), int(iters[0])
+    return bits, converged, iters
+
+
+def filter_valid_oracle(planes):
+    """Separable 11-tap Gaussian 'valid' filter of each trailing 2-D plane
+    by np.convolve along every row, then every column."""
+    from parastream.metrics import _G
+
+    planes = np.asarray(planes, dtype=np.float64)
+    out = []
+    for plane in planes.reshape((-1,) + planes.shape[-2:]):
+        tmp = np.apply_along_axis(
+            lambda r: np.convolve(r, _G, mode="valid"), 1, plane
+        )
+        out.append(
+            np.apply_along_axis(
+                lambda col: np.convolve(col, _G, mode="valid"), 0, tmp
+            )
+        )
+    return np.stack(out).reshape(planes.shape[:-2] + out[0].shape)
+
+
 def max_rel_error(analytic, numeric):
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     if analytic.size == 0:

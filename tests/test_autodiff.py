@@ -49,6 +49,21 @@ class TestArithmeticBackward:
         (y + y).sum().backward()
         np.testing.assert_allclose(x.grad, [6.0])
 
+    def test_first_gradients_are_not_shared(self):
+        # add hands the same upstream array to both operands, and sum
+        # hands a read-only broadcast view; each leaf must own its grad
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        (x + y).sum().backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        x.grad += 1.0
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+
+    def test_getitem_repeated_index_accumulates(self):
+        a = Tensor(np.arange(4.0), requires_grad=True)
+        (a[np.array([0, 0, 2])].sum() + a[1:].sum()).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 1.0, 2.0, 1.0])
+
     def test_broadcast_add_unbroadcasts_gradient(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         b = Tensor(np.zeros((1, 3)), requires_grad=True)

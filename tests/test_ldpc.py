@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ldpc_decode_bp_oracle, syndrome_oracle
 from parastream import channel, ldpc, modem
 from parastream.rng import make_rng
 
@@ -43,6 +44,25 @@ class TestParseTable:
 
 
 class TestBuild:
+    def test_slot_table_matches_edge_list(self, desk_code):
+        pcm = desk_code
+        slots, m = pcm.slot_col.shape
+        assert m == pcm.n - pcm.k
+        check = np.broadcast_to(np.arange(m), pcm.slot_col.shape)
+        real = pcm.slot_col < pcm.n
+        # every edge sits in exactly one slot of its check
+        np.testing.assert_array_equal(
+            np.sort(check[real] * pcm.n + pcm.slot_col[real]),
+            np.sort(pcm.edge_row * pcm.n + pcm.edge_col),
+        )
+        # each column lists the slots that read it, padded by the sentinel
+        feeds = pcm.col_slots < slots * m
+        np.testing.assert_array_equal(
+            pcm.slot_col.reshape(-1)[pcm.col_slots[feeds]],
+            np.broadcast_to(np.arange(pcm.n), pcm.col_slots.shape)[feeds],
+        )
+        assert feeds.sum() == real.sum() == pcm.edge_col.size
+
     def test_identity_lift(self):
         pcm = ldpc.build_qc_ldpc([[0]], 4)
         np.testing.assert_array_equal(pcm.dense(), np.eye(4, dtype=np.uint8))
@@ -195,6 +215,22 @@ class TestDecode:
         with pytest.raises(ldpc.LdpcError, match="LLRs"):
             ldpc.ldpc_decode_bp(desk_code, np.zeros(100))
 
+    def test_non_finite_llrs_rejected(self, desk_code):
+        llr = np.full((3, desk_code.n), -5.0)
+        llr[1, 7] = np.nan
+        with pytest.raises(ldpc.LdpcError, match="frame 1 .*non-finite"):
+            ldpc.ldpc_decode_bp(desk_code, llr)
+        llr[1, 7] = -5.0
+        llr[2] = np.inf
+        with pytest.raises(ldpc.LdpcError, match="frame 2 .*non-finite"):
+            ldpc.ldpc_decode_bp(desk_code, llr)
+        with pytest.raises(ldpc.LdpcError, match="frame 0 .*non-finite"):
+            ldpc.ldpc_decode_bp(desk_code, np.full(desk_code.n, np.nan))
+
+    def test_negative_max_iter_rejected(self, desk_code):
+        with pytest.raises(ldpc.LdpcError, match="max_iter"):
+            ldpc.ldpc_decode_bp(desk_code, np.zeros(desk_code.n), max_iter=-3)
+
     def test_awgn_6db_frame_errors(self, desk_code):
         # true FER measured once at 1.0e-4 (20000 frames); a 500-frame
         # seeded run sees zero errors, frozen here as the regression
@@ -211,3 +247,85 @@ class TestDecode:
         bits, converged, _ = ldpc.ldpc_decode_bp(desk_code, llr)
         assert converged.all()
         assert (bits[:, : desk_code.k] == info).all()
+
+
+@pytest.fixture(scope="module")
+def oracle_codes():
+    codes = {}
+    for name in (DESK_TABLE, FULL_TABLE):
+        codes[name] = ldpc.build_qc_ldpc(*ldpc.load_base_table(name))
+    codes["generic 4x4"] = ldpc.build_qc_ldpc([[0, 0, 1, -1], [2, 0, -1, 0]], 4)
+    # its first four checks read one bit each: their products are empty
+    codes["degree-1 checks"] = ldpc.build_qc_ldpc([[-1, -1, 0], [0, 0, 1]], 4)
+    return codes
+
+
+def _channel_llrs(pcm, rng, frames, snr_db):
+    info = rng.integers(0, 2, (frames, pcm.k)).astype(np.uint8)
+    symbols = modem.qpsk_modulate(ldpc.ldpc_encode(pcm, info))
+    sigma2 = channel.snr_to_sigma2(snr_db)
+    noise = rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(
+        symbols.shape
+    )
+    received = symbols + np.sqrt(sigma2 / 2.0) * noise
+    return modem.qpsk_soft_demod(received, np.ones_like(received), sigma2)
+
+
+def _assert_matches_oracle(pcm, llr, max_iter=ldpc.MAX_ITER_DEFAULT):
+    got = ldpc.ldpc_decode_bp(pcm, llr, max_iter)
+    want = ldpc_decode_bp_oracle(pcm, llr, max_iter)
+    for part, (g, w) in zip(("bits", "converged", "iters"), zip(got, want)):
+        assert np.array_equal(g, w), part
+    assert type(got[1]) is type(want[1]) and type(got[2]) is type(want[2])
+
+
+class TestDecodeMatchesOracle:
+    """The slot-table decoder against the edge-list log-domain decoder
+    in tests/helpers.py: same bits, convergence flags and iteration
+    counts, frame for frame."""
+
+    @pytest.mark.parametrize(
+        "name", [DESK_TABLE, FULL_TABLE, "generic 4x4", "degree-1 checks"]
+    )
+    def test_awgn_across_the_cliff(self, oracle_codes, name):
+        pcm = oracle_codes[name]
+        rng = make_rng(11)
+        # the full-scale code is 6x longer, so it runs fewer frames
+        batches = (1, 40) if name != FULL_TABLE else (1, 4)
+        for snr_db in (0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0):
+            for frames in batches:
+                llr = _channel_llrs(pcm, rng, frames, snr_db)
+                _assert_matches_oracle(pcm, llr)
+        single = _channel_llrs(pcm, rng, 1, 2.0)[0]
+        _assert_matches_oracle(pcm, single)
+
+    @pytest.mark.parametrize("name", [DESK_TABLE, "generic 4x4", "degree-1 checks"])
+    def test_erasures_and_saturation(self, oracle_codes, name):
+        pcm = oracle_codes[name]
+        rng = make_rng(12)
+        for snr_db in (2.0, 5.0):
+            llr = _channel_llrs(pcm, rng, 16, snr_db)
+            llr[rng.random(llr.shape) < 0.05] = 0.0
+            _assert_matches_oracle(pcm, llr)
+        # saturated LLRs of a random word, a few of them erased
+        saturated = np.where(rng.random((4, pcm.n)) < 0.5, 30.0, -30.0)
+        saturated[:, rng.random(pcm.n) < 0.1] = 0.0
+        _assert_matches_oracle(pcm, saturated)
+        _assert_matches_oracle(pcm, np.zeros((3, pcm.n)))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_iteration_caps(self, oracle_codes, max_iter):
+        for pcm in oracle_codes.values():
+            llr = _channel_llrs(pcm, make_rng(13), 7, 2.0)
+            _assert_matches_oracle(pcm, llr, max_iter)
+
+    def test_syndrome_matches_oracle(self, oracle_codes):
+        rng = make_rng(14)
+        for pcm in oracle_codes.values():
+            bits = rng.integers(0, 2, (5, pcm.n)).astype(np.uint8)
+            np.testing.assert_array_equal(
+                ldpc.syndrome(pcm, bits), syndrome_oracle(pcm, bits)
+            )
+            np.testing.assert_array_equal(
+                ldpc.syndrome(pcm, bits.astype(bool)), syndrome_oracle(pcm, bits)
+            )

@@ -7,6 +7,7 @@ images measured once at 0.009721 and pinned with slack.
 import numpy as np
 import pytest
 
+from helpers import filter_valid_oracle
 from parastream import data, metrics
 from parastream.rng import make_rng
 
@@ -79,3 +80,33 @@ class TestMsSsim:
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError, match="11"):
             metrics.ms_ssim(np.zeros((8, 8, 3)), np.zeros((8, 8, 3)))
+
+
+class TestFilterOracle:
+    """The shifted-slice Gaussian filter against np.convolve per row and
+    per column, at rtol 1e-12."""
+
+    @pytest.mark.parametrize(
+        "shape", [(11, 11), (16, 16), (17, 29), (33, 20), (64, 64), (161, 161)]
+    )
+    def test_filter_matches_convolve(self, shape):
+        rng = make_rng(sum(shape))
+        x = rng.uniform(0, 1, size=shape + (3,))
+        planes = np.stack([x[:, :, 0], x[:, :, 1], x[:, :, 2] ** 2])
+        np.testing.assert_allclose(
+            metrics._filter_valid(planes), filter_valid_oracle(planes), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            metrics._filter_valid(x[:, :, 1]),
+            filter_valid_oracle(x[:, :, 1]),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("shape", [(11, 13), (16, 16), (45, 32), (161, 170)])
+    def test_ms_ssim_matches_convolve_path(self, shape, monkeypatch):
+        rng = make_rng(shape[0])
+        a = rng.uniform(0, 1, size=shape + (3,))
+        b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0, 1)
+        fast = metrics.ms_ssim(a, b)
+        monkeypatch.setattr(metrics, "_filter_valid", filter_valid_oracle)
+        assert fast == pytest.approx(metrics.ms_ssim(a, b), rel=1e-12)

@@ -1,13 +1,14 @@
 """Both branches end to end: framing, accounting, degradation paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastream import codec, data, pipeline
+from parastream import codec, data, ldpc, pipeline
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
 from parastream.rng import make_rng
@@ -127,6 +128,30 @@ class TestConventionalOnly:
         assert frame.pad_bits == len(frame.frame_bits) * pcm.k - bits
         assert frame.image_symbols == len(frame.frame_bits) * pcm.n // 2
         assert report["frame_count"] == len(frame.frame_bits)
+
+    def test_clean_link_reports_no_bp_iterations(self, image):
+        cfg = desk_config(snr_db=30.0, semantic=False)
+        _, frame, report = pipeline.transmit_image(image, cfg, seed=0)
+        assert report["bp_iterations"] == 0
+        assert report["frames_converged"] == len(frame.frame_bits)
+
+    def test_bp_iterations_sum_the_decoder_counts(self, image, monkeypatch):
+        cfg = replace(desk_config(snr_db=1.0, semantic=False), bp_iters=3)
+        calls = []
+        decode = ldpc.ldpc_decode_bp
+
+        def spy(pcm, llr, max_iter):
+            out = decode(pcm, llr, max_iter)
+            calls.append((llr, max_iter, out[2]))
+            return out
+
+        monkeypatch.setattr(ldpc, "ldpc_decode_bp", spy)
+        _, _, report = pipeline.transmit_image(image, cfg, seed=0)
+        (llr, max_iter, iters), = calls
+        assert max_iter == 3
+        _, _, direct = decode(pipeline.load_code(cfg.code), llr, max_iter=3)
+        np.testing.assert_array_equal(iters, direct)
+        assert report["bp_iterations"] == int(direct.sum()) > 0
 
     def test_deep_noise_corrupts_and_degrades_gracefully(self, image):
         cfg = desk_config(snr_db=-5.0, semantic=False)
