@@ -16,7 +16,6 @@ __all__ = [
     "AutodiffError",
     "DimensionError",
     "Tensor",
-    "tensor",
     "concat",
     "stack",
     "exp",
@@ -42,17 +41,13 @@ class DimensionError(ValueError):
     """Operand shapes cannot be reconciled; the message names the axis."""
 
 
-def _as_array(value):
-    return np.asarray(value, dtype=np.float64)
-
-
 class Tensor:
     """Dense float64 array plus an optional edge into the backward graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -260,10 +255,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -432,10 +423,12 @@ def _col2im(cols, batch, channels, h_pad, w_pad, k, stride, h_out, w_out):
     return grid
 
 
-def _pad2d(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
+def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
+    if p == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros(x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p), x.dtype)
+    out[:, :, p:-p, p:-p] = x
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -478,7 +471,7 @@ def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
     def grad_fn(g):
         g_flat = g.reshape(batch, c_out, h_out * w_out)
         if weight.requires_grad:
-            gw = np.einsum("bol,bkl->ok", g_flat, cols)
+            gw = np.matmul(g_flat, cols.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if x.requires_grad:
             g_cols = np.matmul(w_mat.T, g_flat)
@@ -548,7 +541,7 @@ def conv_transpose2d(
             gx = np.matmul(w_mat, g_cols).reshape(batch, c_in, h_in, w_in)
             _accumulate(x, gx)
         if weight.requires_grad:
-            gw = np.einsum("bcl,bkl->ck", x_flat, g_cols)
+            gw = np.matmul(x_flat, g_cols.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, gw.reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))

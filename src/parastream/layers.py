@@ -1,13 +1,16 @@
 """Parameter containers and the layer types used by the semantic branch.
 
 A ``Module`` tracks parameter tensors and child modules by attribute
-assignment, enough for optimizers, checkpointing and the freeze logic of
-staged training. Initialization follows the package-wide conventions:
-Glorot-uniform weights, zero biases, GDN at beta=1 / gamma=0.1*I, PReLU
-slopes at 0.25.
+assignment, enough for optimizers and checkpointing; ``frozen`` keeps
+parameters out of the backward graph for the length of a block, for
+staged training and graph-free inference. Initialization follows the
+package-wide conventions: Glorot-uniform weights, zero biases, GDN at
+beta=1 / gamma=0.1*I, PReLU slopes at 0.25.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -67,6 +70,21 @@ class Module:
                     f"model {param.data.shape}"
                 )
             param.data = value.copy()
+
+
+@contextlib.contextmanager
+def frozen(params):
+    """Clear ``requires_grad`` on ``params`` inside a ``with`` block and
+    restore each flag on exit. Ops record no graph edge into a frozen
+    tensor, and a backward pass inside the block leaves its grad alone."""
+    saved = [(p, p.requires_grad) for p in params]
+    for p, _ in saved:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in saved:
+            p.requires_grad = flag
 
 
 class ModuleList(Module):

@@ -24,7 +24,7 @@ from .autodiff import Tensor
 from .channel import ChannelConfig, transmit
 from .decoder import LATENT_WIDTHS, UP_WIDTHS, SemanticDecoder
 from .encoder import DEFAULT_WIDTHS, SemanticEncoder, image_to_tensor, tensor_to_image
-from .layers import Module
+from .layers import Module, frozen
 from .modem import qpsk_modulate, qpsk_soft_demod
 from .rate import FactorizedPrior, HyperSynthesis, RateBanks
 from .rng import make_rng
@@ -78,10 +78,6 @@ class SemanticModel(Module):
     def ra_parameters(self):
         """Parameters of the rate-adaptation codec (banks and tokens)."""
         return self.banks.parameters()
-
-    def non_ra_parameters(self):
-        ra = set(id(p) for p in self.ra_parameters())
-        return [p for p in self.parameters() if id(p) not in ra]
 
 
 @dataclass(frozen=True)
@@ -246,20 +242,21 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     )
 
     if cfg.semantic:
-        s, r = model.encoder(image_to_tensor(x_ref), image_to_tensor(x_r))
-        s_tilde = rate.quantize(s, "test")
-        r_tilde = rate.quantize(r, "test")
-        mu, sigma = model.hyper(r_tilde)
-        alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
-        sent = model.banks.encode(s_tilde, alloc)[0]
-        received = send_analog(sent, cfg.channel, 2 * seed + 1)
-        side_blob = rate.pack_rate_indices(alloc.indices()[0])
-        rx_idx = rate.unpack_rate_indices(side_blob, alloc.k_s)
-        rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(alloc.alpha_bar.shape)
-        s_hat = model.banks.decode([received], rx_widths)
-        x_hat = tensor_to_image(
-            model.decoder(image_to_tensor(x_c_hat), s_hat, cfg.channel.snr_db)
-        )
+        with frozen(model.parameters()):
+            s, r = model.encoder(image_to_tensor(x_ref), image_to_tensor(x_r))
+            s_tilde = rate.quantize(s, "test")
+            r_tilde = rate.quantize(r, "test")
+            mu, sigma = model.hyper(r_tilde)
+            alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
+            sent = model.banks.encode(s_tilde, alloc)[0]
+            received = send_analog(sent, cfg.channel, 2 * seed + 1)
+            side_blob = rate.pack_rate_indices(alloc.indices()[0])
+            rx_idx = rate.unpack_rate_indices(side_blob, alloc.k_s)
+            rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(alloc.alpha_bar.shape)
+            s_hat = model.banks.decode([received], rx_widths)
+            x_hat = tensor_to_image(
+                model.decoder(image_to_tensor(x_c_hat), s_hat, cfg.channel.snr_db)
+            )
         semantic_dims = int(alloc.totals()[0])
         sem_symbols = -(-semantic_dims // 2)
         side_bits = rate.SIDE_BITS_PER_PATCH * alloc.k_s

@@ -4,7 +4,10 @@ Stage 1 trains everything except the rate banks, sending the semantic
 features across the channel analog at full dimension. Stage 2 freezes
 those weights and trains only the banks and rate tokens through the
 full variable-rate path. Stage 3 fine-tunes all parameters under a
-polynomial learning-rate decay. Every batch samples one SNR from the
+polynomial learning-rate decay. A stage runs inside `layers.frozen`
+over the parameters it does not train, so stage 2 backpropagates only
+into the banks (via the decoder's inputs, never its weights) and
+frozen parameters keep no grad. Every batch samples one SNR from the
 training set and runs the conventional branch for real (no gradients),
 so the decoder sees genuinely corrupted reconstructions at low SNR.
 
@@ -27,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rate
 from .encoder import batch_to_tensor
+from .layers import frozen
 from .pipeline import (
     ModelConfig,
     PipelineConfig,
@@ -71,6 +75,7 @@ class Adam:
         self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._work = np.empty(2 * max((p.data.size for p in self.params), default=0))
         self.t = 0
 
     def zero_grad(self):
@@ -85,9 +90,14 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # m += (1-b1)(g-m); v += (1-b2)(g*g-v); p -= lr(m/c1)/(sqrt(v/c2)+eps)
+            num, den = self._work[: 2 * g.size].reshape((2,) + g.shape)
+            m += np.multiply(np.subtract(g, m, out=num), 1.0 - self.beta1, out=num)
+            np.subtract(np.multiply(g, g, out=num), v, out=num)
+            v += np.multiply(num, 1.0 - self.beta2, out=num)
+            np.multiply(np.divide(m, c1, out=num), self.lr, out=num)
+            np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
+            p.data -= np.divide(num, den, out=num)
 
 
 def poly_lr(base: float, step: int, total: int, power: float = 0.9) -> float:
@@ -147,11 +157,10 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
 
 
 def stage_parameters(model, stage):
-    if stage == 2:
-        return model.ra_parameters()
-    if stage == 1:
-        return model.non_ra_parameters()
-    return model.parameters()
+    if stage == 3:
+        return model.parameters()
+    ra = {id(p) for p in model.ra_parameters()}
+    return [p for p in model.parameters() if (id(p) in ra) == (stage == 2)]
 
 
 def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
@@ -169,28 +178,31 @@ def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
     pcm = load_code(pcfg.code)
     rng = make_rng(cfg.seed, cfg.stage)
     opt = Adam(stage_parameters(model, cfg.stage), cfg.lr, betas=cfg.betas)
+    trainable = {id(p) for p in opt.params}
+    model.zero_grad()
     history = []
-    for step in range(cfg.steps):
-        if cfg.stage == 3:
-            opt.lr = poly_lr(cfg.lr, step, cfg.steps, cfg.poly_power)
-        batch_idx = rng.integers(0, len(dataset), size=cfg.batch_size)
-        images = []
-        for idx in batch_idx:
-            img = dataset[idx]
-            if cfg.flip_h and rng.integers(2):
-                img = img[:, ::-1]
-            if cfg.flip_v and rng.integers(2):
-                img = img[::-1]
-            images.append(np.ascontiguousarray(img))
-        snr_db = float(rng.choice(cfg.snr_set))
-        opt.zero_grad()
-        loss, _ = training_forward(
-            model, images, pcfg, snr_db, rng, cfg.stage, pcm,
-            trial=step * cfg.batch_size,
-        )
-        loss.backward()
-        opt.step()
-        history.append(float(loss.data))
+    with frozen([p for p in model.parameters() if id(p) not in trainable]):
+        for step in range(cfg.steps):
+            if cfg.stage == 3:
+                opt.lr = poly_lr(cfg.lr, step, cfg.steps, cfg.poly_power)
+            batch_idx = rng.integers(0, len(dataset), size=cfg.batch_size)
+            images = []
+            for idx in batch_idx:
+                img = dataset[idx]
+                if cfg.flip_h and rng.integers(2):
+                    img = img[:, ::-1]
+                if cfg.flip_v and rng.integers(2):
+                    img = img[::-1]
+                images.append(np.ascontiguousarray(img))
+            snr_db = float(rng.choice(cfg.snr_set))
+            opt.zero_grad()
+            loss, _ = training_forward(
+                model, images, pcfg, snr_db, rng, cfg.stage, pcm,
+                trial=step * cfg.batch_size,
+            )
+            loss.backward()
+            opt.step()
+            history.append(float(loss.data))
     model.stage = cfg.stage
     return model, history
 

@@ -28,6 +28,68 @@ def conv2d_oracle(x, w, b=None, stride=1, padding=1):
     return out
 
 
+def _patches(xp, k, stride, h_out, w_out):
+    """[B,C,Hp,Wp] -> [B, C*k*k, h_out*w_out], one strided slice per tap."""
+    batch, channels = xp.shape[:2]
+    out = np.empty((batch, channels, k, k, h_out, w_out))
+    for di in range(k):
+        for dj in range(k):
+            out[:, :, di, dj] = xp[
+                :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
+            ]
+    return out.reshape(batch, channels * k * k, h_out * w_out)
+
+
+def conv2d_grads_oracle(x, w, g, stride, padding):
+    """(x.grad, weight.grad) of sum(conv2d(x, w) * g): the weight gradient
+    as the einsum over the patch matrix that conv2d's backward used before
+    it moved to batched matmul, the input gradient as one scatter per tap
+    onto the padded grid."""
+    batch, c_in, h_in, w_in = x.shape
+    c_out, _, k, _ = w.shape
+    _, _, h_out, w_out = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = _patches(xp, k, stride, h_out, w_out)
+    gw = np.einsum("bol,bkl->ok", g.reshape(batch, c_out, -1), cols)
+    gxp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            gxp[:, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += (
+                np.einsum("bohw,oc->bchw", g, w[:, :, di, dj])
+            )
+    gx = gxp[:, :, padding : padding + h_in, padding : padding + w_in]
+    return gx, gw.reshape(w.shape)
+
+
+def conv_transpose2d_grads_oracle(x, w, g, stride, padding):
+    """(x.grad, weight.grad) of sum(conv_transpose2d(x, w) * g): the
+    weight gradient as the einsum that conv_transpose2d's backward used
+    before it moved to batched matmul, the input gradient as the einsum
+    of the kernels with the same patch matrix of g."""
+    batch, c_in, h_in, w_in = x.shape
+    _, c_out, k, _ = w.shape
+    gp = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    g_cols = _patches(gp, k, stride, h_in, w_in)
+    gw = np.einsum("bcl,bkl->ck", x.reshape(batch, c_in, -1), g_cols)
+    gx = np.einsum("ck,bkl->bcl", w.reshape(c_in, -1), g_cols)
+    return gx.reshape(x.shape), gw.reshape(w.shape)
+
+
+def adam_step_oracle(opt):
+    """Adam.step as the three array expressions it was before it moved to
+    scratch buffers; the in-place form must match it bit for bit."""
+    opt.t += 1
+    c1 = 1.0 - opt.beta1**opt.t
+    c2 = 1.0 - opt.beta2**opt.t
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad
+        if g is None:
+            continue
+        m += (1.0 - opt.beta1) * (g - m)
+        v += (1.0 - opt.beta2) * (g * g - v)
+        p.data -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+
+
 def banks_encode_oracle(banks, s_tilde, alpha_bar):
     """Per-patch reference for RateBanks.encode: each patch vector plus
     its rate token through that rate's column slice of enc_weight and

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from parastream import autodiff as ad
 from parastream.autodiff import Tensor
 
-from helpers import conv2d_oracle, gradcheck, max_rel_error, projection_loss
+from helpers import (
+    conv2d_grads_oracle,
+    conv2d_oracle,
+    conv_transpose2d_grads_oracle,
+    gradcheck,
+    max_rel_error,
+    projection_loss,
+)
 
 GRAD_TOL = 1e-4
 ADJOINT_TOL = 1e-10
@@ -157,9 +164,10 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1)
-        expected = conv2d_oracle(x, w, b, stride=2, padding=1)
-        np.testing.assert_allclose(out.data, expected, atol=1e-10)
+        for padding in (0, 1, 2):
+            out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=padding)
+            expected = conv2d_oracle(x, w, b, stride=2, padding=padding)
+            np.testing.assert_allclose(out.data, expected, atol=1e-10, err_msg=str(padding))
 
     def test_channel_mismatch_names_axis(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -238,6 +246,40 @@ class TestConvTranspose2d:
             [x, w, b],
         )
         assert err < GRAD_TOL
+
+
+def _weight_gradient_case(op, oracle, batch, stride, padding, c_in, w_shape):
+    rng = np.random.default_rng(1000 * batch + 100 * stride + 10 * padding + w_shape[-1])
+    x = Tensor(rng.standard_normal((batch, c_in, 6, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+    out = op(x, w, None, stride=stride, padding=padding)
+    g = rng.standard_normal(out.data.shape)
+    (out * g).sum().backward()
+    gx, gw = oracle(x.data, w.data, g, stride, padding)
+    # gradients are O(1..10); atol only covers entries that cancel to ~0
+    np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+class TestWeightGradientOracles:
+    """The batched-matmul weight gradients against the einsum forms they
+    replaced, with the input gradients alongside."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv2d(self, batch, stride, padding, k):
+        _weight_gradient_case(
+            ad.conv2d, conv2d_grads_oracle, batch, stride, padding, 2, (3, 2, k, k)
+        )
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_conv_transpose2d(self, batch, stride, padding, k):
+        _weight_gradient_case(
+            ad.conv_transpose2d, conv_transpose2d_grads_oracle,
+            batch, stride, padding, 2, (2, 3, k, k),
+        )
 
 
 class TestGdn:

@@ -62,6 +62,18 @@ class TestModule:
         lin.zero_grad()
         assert lin.weight.grad is None
 
+    def test_frozen_restores_every_flag(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2))
+        with ly.frozen([a, b]):
+            assert not a.requires_grad and not b.requires_grad
+            assert not (a * 2.0).requires_grad
+        assert a.requires_grad and not b.requires_grad
+        with pytest.raises(KeyError):
+            with ly.frozen([a]):
+                raise KeyError("inside")
+        assert a.requires_grad
+
     def test_module_list(self):
         blocks = ly.ModuleList([ly.Linear(2, 2, make_rng(i)) for i in range(3)])
         assert len(blocks) == 3

@@ -254,6 +254,36 @@ class TestFullPipeline:
         assert with_sem.frame_bits == without.frame_bits
         assert with_sem.image_symbols == without.image_symbols
 
+    def test_semantic_transmit_builds_no_graph(self, image, model, monkeypatch):
+        made = []
+        original = Tensor._from_op
+
+        def spy(data, parents, grad_fn):
+            out = original(data, parents, grad_fn)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(spy))
+        pipeline.transmit_image(image, desk_config(), seed=0, model=model)
+        assert made and not any(made)
+
+    def test_transmit_restores_parameters(self, image, model, monkeypatch):
+        def check():
+            for p in model.parameters():
+                assert p.requires_grad
+                assert p.grad is None
+
+        pipeline.transmit_image(image, desk_config(), seed=0, model=model)
+        check()
+
+        def broken(*args):
+            raise RuntimeError("link down")
+
+        monkeypatch.setattr(pipeline, "send_analog", broken)
+        with pytest.raises(RuntimeError, match="link down"):
+            pipeline.transmit_image(image, desk_config(), seed=0, model=model)
+        check()
+
     def test_rayleigh_channel_supported(self, image, model):
         cfg = pipeline.PipelineConfig(
             channel=ChannelConfig(

@@ -7,6 +7,7 @@ import pytest
 from parastream import pipeline, rate, training
 from parastream.autodiff import Tensor
 from parastream.channel import ChannelConfig, ChannelRealization, draw_realization
+from parastream.layers import frozen
 from parastream.pipeline import PipelineConfig, load_code, power_gain, send_analog
 from parastream.rng import make_rng
 from parastream.training import (
@@ -19,7 +20,7 @@ from parastream.training import (
     training_forward,
 )
 
-from helpers import gradcheck, toy_images, toy_model
+from helpers import adam_step_oracle, gradcheck, toy_images, toy_model
 
 
 def toy_pipeline(lambda1=0.05):
@@ -106,6 +107,29 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         opt.step()
         assert p.data[0] == 5.0
+
+    def test_matches_array_expressions_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        shapes = [(3, 2, 3, 3), (5,), (4, 7), (1,)]
+        # parameters on the scale of one update, so that a last-bit change
+        # in the update shows in the parameter bits
+        start = [1e-3 * rng.standard_normal(shape) for shape in shapes]
+        fast = Adam([Tensor(a.copy(), requires_grad=True) for a in start], lr=3e-3)
+        slow = Adam([Tensor(a.copy(), requires_grad=True) for a in start], lr=3e-3)
+        for step in range(5):
+            fast.lr = slow.lr = 3e-3 * (1.0 - step / 5)
+            for p, q in zip(fast.params, slow.params):
+                p.grad = 10.0 ** step * rng.standard_normal(p.data.shape)
+                q.grad = p.grad.copy()
+            # the last parameter has no gradient on odd steps
+            if step % 2:
+                fast.params[-1].grad = slow.params[-1].grad = None
+            fast.step()
+            adam_step_oracle(slow)
+            for a, b in zip(fast.params, slow.params):
+                assert a.data.tobytes() == b.data.tobytes(), step
+            for a, b in zip(fast.m + fast.v, slow.m + slow.v):
+                assert a.tobytes() == b.tobytes(), step
 
     def test_lr_is_live(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
@@ -268,6 +292,26 @@ class TestTrainingForward:
         grads = [p.grad for p in model.ra_parameters()]
         assert any(g is not None and np.any(g) for g in grads)
 
+    def test_frozen_stage2_gives_identical_bank_gradients(self):
+        # freezing everything but the banks only prunes the graph; the
+        # gradients the banks receive stay bit-identical
+        pcfg = toy_pipeline()
+        pcm = load_code(pcfg.code)
+        grads = []
+        for freeze in (False, True):
+            model = toy_model()
+            model.banks.tokens.data[:] = 0.5
+            ra = {id(p) for p in model.ra_parameters()}
+            others = [p for p in model.parameters() if id(p) not in ra] if freeze else []
+            with frozen(others):
+                loss, _ = training_forward(
+                    model, toy_images(2), pcfg, 10.0, make_rng(9), 2, pcm, trial=0
+                )
+                loss.backward()
+            assert all(p.grad is None for p in others)
+            grads.append([p.grad.tobytes() for p in model.ra_parameters()])
+        assert grads[0] == grads[1]
+
     def test_end_to_end_gradients_match_finite_differences(self):
         # a deterministic closure (fresh rng per call) makes central
         # differences through the whole training graph meaningful
@@ -367,6 +411,18 @@ class TestTrainLoop:
         assert any(
             after[k].tobytes() != before[k] for k in before if k.startswith("banks.")
         )
+
+    def test_stage2_leaves_frozen_parameters_untouched(self):
+        model = toy_model()
+        model, _ = train(self._cfg(1), toy_images(), model, toy_pipeline())
+        model, _ = train(self._cfg(2), toy_images(), model, toy_pipeline())
+        ra = {id(p) for p in model.ra_parameters()}
+        others = [p for p in model.parameters() if id(p) not in ra]
+        assert others
+        for p in others:
+            assert p.grad is None
+            assert p.requires_grad
+        assert all(p.requires_grad and p.grad is not None for p in model.ra_parameters())
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = toy_model(seed=3)
