@@ -1,0 +1,129 @@
+"""Alternating parent/change benchmark pairs for one workload.
+
+    python3 scripts/bench_pairs.py --workload conventional_cliff --pairs 10 --parent HEAD~1
+
+Exports the committed files of ``--parent`` into a temporary directory
+with ``git archive``; the change side is this working tree. It then runs
+``perfbench/run.py --trace 0`` once per side and pair, each side from
+its own checkout, with the side that goes first alternating from pair
+to pair. At the end it prints, for every end-to-end metric in
+BENCHMARK.json, the median and quartiles of each side, how many pairs
+the change won, and whether the gap between the medians exceeds the
+parent's interquartile range. Standard library only; run it from any
+directory of the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def export(ref: str, dest: pathlib.Path) -> pathlib.Path:
+    """The committed files of ``ref`` under ``dest``."""
+    archive = subprocess.Popen(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref], stdout=subprocess.PIPE
+    )
+    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        # extraction filters arrived in 3.10.12 / 3.11.4; git archive's
+        # own output is trusted without one
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    if archive.wait() != 0:
+        sys.exit(f"bench_pairs: git archive {ref} failed")
+    return dest
+
+
+def run_once(checkout: pathlib.Path, args, seed: int) -> dict:
+    """End-to-end metric values of one ``perfbench/run.py`` run."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        "--seed", str(seed), "--trace", "0",
+    ]
+    if args.seconds is not None:
+        cmd += ["--seconds", str(args.seconds)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
+                 f"{out.stderr}")
+    result = json.loads(out.stdout.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"bench_pairs: run in {checkout} failed its checks: {result}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summary(metrics, runs) -> str:
+    pairs = len(runs["parent"])
+    lines = [
+        f"{'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
+        f" {'change wins':>12}  gap > parent IQR"
+    ]
+    for m in metrics:
+        name = m["name"]
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        lower = m["better"] == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        pm, p1, p3 = quartiles(parent)
+        cm, c1, c3 = quartiles(change)
+        gain = (pm - cm) if lower else (cm - pm)
+        parent_cell = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
+        change_cell = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
+        lines.append(
+            f"{name:<16} {parent_cell:>30} {change_cell:>30} {f'{wins}/{pairs}':>12}"
+            f"  {'yes' if gain > p3 - p1 else 'no'}"
+        )
+    return "\n".join(lines)
+
+
+def main():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in spec["workloads"]]
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="git ref of the parent side")
+    parser.add_argument("--seeds", default="1", help="comma-separated seeds, cycled over the pairs")
+    parser.add_argument("--seconds", type=float, help="timed seconds per run (default: run.py's)")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        sides = {"parent": export(args.parent, pathlib.Path(tmp) / "parent"), "change": ROOT}
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = seeds[i % len(seeds)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], args, seed))
+            p50 = [runs[side][-1]["op_cpu_ms_p50"] for side in ("parent", "change")]
+            print(
+                f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
+                f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}",
+                flush=True,
+            )
+    print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent}, "
+          f"change working tree, seeds {args.seeds}")
+    print(summary(spec["end_to_end"], runs))
+
+
+if __name__ == "__main__":
+    main()

@@ -58,10 +58,14 @@ class Tensor:
 
     @staticmethod
     def _from_op(data, parents, grad_fn):
+        """Output of an op. Its graph edges go to the parents that require
+        grad now, when the op runs; ``grad_fn`` accumulates into those
+        alone (see :func:`_live`), whatever the flags are at backward."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        live = tuple(p for p in parents if p.requires_grad)
+        if live:
             out.requires_grad = True
-            out._parents = tuple(parents)
+            out._parents = live
             out._grad_fn = grad_fn
         return out
 
@@ -111,7 +115,7 @@ class Tensor:
             seen.add(id(node))
             stack_.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack_.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
@@ -124,10 +128,11 @@ class Tensor:
     def __add__(self, other):
         other = _wrap(other)
         out_data = self.data + other.data
+        a, b = _live(self, other)
 
         def grad_fn(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(g, other.data.shape))
+            _accumulate(a, _unbroadcast(g, self.data.shape))
+            _accumulate(b, _unbroadcast(g, other.data.shape))
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
@@ -148,10 +153,11 @@ class Tensor:
     def __mul__(self, other):
         other = _wrap(other)
         out_data = self.data * other.data
+        a, b = _live(self, other)
 
         def grad_fn(g):
-            _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
+            _accumulate(a, _unbroadcast(g * other.data, self.data.shape))
+            _accumulate(b, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
@@ -160,11 +166,12 @@ class Tensor:
     def __truediv__(self, other):
         other = _wrap(other)
         out_data = self.data / other.data
+        a, b = _live(self, other)
 
         def grad_fn(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
+            _accumulate(a, _unbroadcast(g / other.data, self.data.shape))
             _accumulate(
-                other,
+                b,
                 _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
             )
 
@@ -188,12 +195,13 @@ class Tensor:
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul operands must have at least 2 dims")
         out_data = np.matmul(self.data, other.data)
+        a, b = _live(self, other)
 
         def grad_fn(g):
             ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
             gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            _accumulate(self, _unbroadcast(ga, self.data.shape))
-            _accumulate(other, _unbroadcast(gb, other.data.shape))
+            _accumulate(a, _unbroadcast(ga, self.data.shape))
+            _accumulate(b, _unbroadcast(gb, other.data.shape))
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
@@ -259,11 +267,20 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add g into t.grad. A first gradient becomes a float64 array of
-    t's shape: g itself when the caller owns a fresh array of exactly
-    that shape and dtype (owned=True), else a broadcast copy of g."""
-    if not t.requires_grad:
+def _live(*tensors):
+    """Each tensor that requires grad when the op runs, None for the
+    others (and for absent operands): what a multi-parent op's backward
+    closure accumulates into. A single-parent op needs no such record,
+    since it has a graph edge only when its parent required grad."""
+    return [t if t is not None and t.requires_grad else None for t in tensors]
+
+
+def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
+    """Add g into t.grad; nothing for t None. A first gradient becomes a
+    float64 array of t's shape: g itself when the caller owns a fresh
+    array of exactly that shape and dtype (owned=True), else a broadcast
+    copy of g."""
+    if t is None:
         return
     if t.grad is None:
         if owned:
@@ -293,9 +310,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
+    live = _live(*tensors)
 
     def grad_fn(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
+        for t, piece in zip(live, np.split(g, offsets, axis=axis)):
             _accumulate(t, piece)
 
     return Tensor._from_op(out_data, tuple(tensors), grad_fn)
@@ -467,13 +485,14 @@ def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
             )
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
         parents.append(bias)
+    x_live, w_live, b_live = _live(x, weight, bias)
 
     def grad_fn(g):
         g_flat = g.reshape(batch, c_out, h_out * w_out)
-        if weight.requires_grad:
+        if w_live is not None:
             gw = np.matmul(g_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, gw.reshape(weight.data.shape))
-        if x.requires_grad:
+            _accumulate(w_live, gw.reshape(weight.data.shape))
+        if x_live is not None:
             g_cols = np.matmul(w_mat.T, g_flat)
             g_pad = _col2im(
                 g_cols, batch, c_in, h_in + 2 * padding, w_in + 2 * padding,
@@ -481,9 +500,9 @@ def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
             )
             if padding:
                 g_pad = g_pad[:, :, padding:-padding, padding:-padding]
-            _accumulate(x, g_pad)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(x_live, g_pad)
+        if b_live is not None:
+            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out_data, tuple(parents), grad_fn)
 
@@ -534,17 +553,18 @@ def conv_transpose2d(
             )
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
         parents.append(bias)
+    x_live, w_live, b_live = _live(x, weight, bias)
 
     def grad_fn(g):
         g_cols = _im2col(_pad2d(g, padding), k, stride, h_in, w_in)
-        if x.requires_grad:
+        if x_live is not None:
             gx = np.matmul(w_mat, g_cols).reshape(batch, c_in, h_in, w_in)
-            _accumulate(x, gx)
-        if weight.requires_grad:
+            _accumulate(x_live, gx)
+        if w_live is not None:
             gw = np.matmul(x_flat, g_cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, gw.reshape(weight.data.shape))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(w_live, gw.reshape(weight.data.shape))
+        if b_live is not None:
+            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out_data, tuple(parents), grad_fn)
 

@@ -110,132 +110,85 @@ ZIGZAG = _zigzag_order()
 ZIGZAG_FLAT = np.array([i * 8 + j for i, j in ZIGZAG])
 DEZIGZAG_FLAT = np.argsort(ZIGZAG_FLAT)
 
-
-def _build_encoder_table(bits, vals):
-    codes = {}
+def _code_table(bits, vals):
+    """Canonical (code, length) of every symbol, as two arrays indexed by
+    symbol value; unused symbols have length 0."""
+    code_of = np.zeros(256, dtype=np.int64)
+    length_of = np.zeros(256, dtype=np.int64)
     code = 0
     k = 0
     for length in range(1, 17):
         for _ in range(bits[length - 1]):
-            codes[vals[k]] = (code, length)
+            code_of[vals[k]] = code
+            length_of[vals[k]] = length
             k += 1
             code += 1
         code <<= 1
-    return codes
-
-def _build_decoder_table(bits, vals):
-    mincode = [0] * 17
-    maxcode = [-1] * 17
-    valptr = [0] * 17
-    code = 0
-    k = 0
-    for length in range(1, 17):
-        if bits[length - 1] == 0:
-            maxcode[length] = -1
-        else:
-            valptr[length] = k
-            mincode[length] = code
-            k += bits[length - 1]
-            code += bits[length - 1]
-            maxcode[length] = code - 1
-        code <<= 1
-    return mincode, maxcode, valptr
+    return code_of, length_of
 
 
-DC_ENC = _build_encoder_table(DC_BITS, DC_VALS)
-AC_ENC = _build_encoder_table(AC_BITS, AC_VALS)
-DC_DEC = _build_decoder_table(DC_BITS, DC_VALS)
-AC_DEC = _build_decoder_table(AC_BITS, AC_VALS)
+def _lookahead_table(code_of, length_of, entry):
+    """``entry(length, symbol)`` for every 16-bit window that starts with
+    that symbol's code, 0 for windows no code prefixes."""
+    table = np.zeros(1 << 16, dtype=np.uint16)
+    for symbol in np.flatnonzero(length_of):
+        shift = 16 - length_of[symbol]
+        code = code_of[symbol]
+        table[code << shift : (code + 1) << shift] = entry(length_of[symbol], symbol)
+    return table
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.fill = 0
-        self.total = 0
-
-    def write(self, value: int, nbits: int):
-        if nbits == 0:
-            return
-        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
-        self.fill += nbits
-        self.total += nbits
-        while self.fill >= 8:
-            self.fill -= 8
-            self.buf.append((self.acc >> self.fill) & 0xFF)
-        self.acc &= (1 << self.fill) - 1
-
-    def getvalue(self) -> bytes:
-        if self.fill:
-            return bytes(self.buf) + bytes([(self.acc << (8 - self.fill)) & 0xFF])
-        return bytes(self.buf)
+def _ac_step(symbol):
+    """Zigzag positions an AC symbol advances: run + 1, sixteen for a
+    zero run, none for end-of-block."""
+    return {ZRL: 16, EOB: 0}.get(symbol, (symbol >> 4) + 1)
 
 
-class _BitReader:
-    def __init__(self, data: bytes, nbits: int, base_offset: int):
-        self.data = data
-        self.nbits = nbits
-        self.pos = 0
-        self.base = base_offset
+DC_CODE, DC_LEN = _code_table(DC_BITS, DC_VALS)
+AC_CODE, AC_LEN = _code_table(AC_BITS, AC_VALS)
+# Decoder lookahead tables, indexed by the next 16 payload bits. A DC
+# entry is advance << 4 | size, an AC entry advance << 9 | size << 5 |
+# step + 1, where advance counts the code and its amplitude bits.
+DC_LOOKAHEAD = _lookahead_table(DC_CODE, DC_LEN, lambda n, s: (n + s) << 4 | s)
+AC_LOOKAHEAD = _lookahead_table(
+    AC_CODE, AC_LEN, lambda n, s: (n + (s & 15)) << 9 | (s & 15) << 5 | (_ac_step(s) + 1)
+)
 
-    @property
-    def byte_offset(self) -> int:
-        return self.base + self.pos // 8
+# m zero-run codes back to back, m = 0..3 (a block has at most 62 zeros
+# before its last nonzero AC coefficient)
+_ZRL_RUNS = [0]
+for _ in range(3):
+    _ZRL_RUNS.append(_ZRL_RUNS[-1] << int(AC_LEN[ZRL]) | int(AC_CODE[ZRL]))
+_ZRL_RUNS = np.array(_ZRL_RUNS)
 
-    def read_bit(self) -> int:
-        if self.pos >= self.nbits:
-            raise CodecError("payload truncated", self.byte_offset)
-        byte = self.data[self.pos // 8]
-        bit = (byte >> (7 - self.pos % 8)) & 1
-        self.pos += 1
-        return bit
-
-    def read_bits(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
-        return value
+# A block reads at most 64 symbols of at most 27 bits (16 code, 11
+# amplitude), so a decode that starts a block inside the payload reads
+# no further than this past its end.
+_BLOCK_BITS = 64 * 27
+_WINDOW_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
 
 
-def _decode_symbol(reader: _BitReader, table) -> int:
-    mincode, maxcode, valptr = table
-    vals = DC_VALS if table is DC_DEC else AC_VALS
-    code = 0
-    for length in range(1, 17):
-        code = (code << 1) | reader.read_bit()
-        if maxcode[length] >= 0 and code <= maxcode[length]:
-            return vals[valptr[length] + code - mincode[length]]
-    raise CodecError("invalid prefix code", reader.byte_offset)
+def _amplitude_bits(value):
+    """Size class ``bit_length(|v|)`` and amplitude bits, negatives
+    stored as ``v + 2^s - 1``; elementwise."""
+    value = np.asarray(value, dtype=np.int64)
+    size = np.frexp(np.abs(value))[1].astype(np.int64)
+    return size, (value - (value < 0)) & ((1 << size) - 1)
 
 
-def _amplitude_bits(value: int):
-    size = int(abs(value)).bit_length()
-    if value < 0:
-        return size, value + (1 << size) - 1
-    return size, value
-
-
-def _extend_amplitude(bits: int, size: int) -> int:
-    if size == 0:
-        return 0
-    if bits < (1 << (size - 1)):
-        return bits - (1 << size) + 1
-    return bits
-
-
-def _pad_to_blocks(plane: np.ndarray):
-    h, w = plane.shape
-    pad_h = (-h) % 8
-    pad_w = (-w) % 8
-    if pad_h or pad_w:
-        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    return plane, pad_h, pad_w
+def _extend_amplitude(bits, size):
+    """Inverse of :func:`_amplitude_bits`; elementwise, size 0 gives 0."""
+    bits = np.asarray(bits, dtype=np.int64)
+    size = np.asarray(size, dtype=np.int64)
+    return np.where(bits < ((1 << size) >> 1), bits - (1 << size) + 1, bits)
 
 
 def _forward_blocks(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
     h, w = plane.shape
     blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+    # one plane per call and an einsum, not a matmul: the einsum's sum
+    # order depends on the batch size and a matmul regroups the sum, and
+    # either moves np.round at half-integer ties and so the bytes
     coeff = np.einsum("ij,bjk,lk->bil", DCT, blocks - 128.0, DCT)
     quant = np.round(coeff / table)
     # L2 keeps any single coefficient within +-1024; the prefix code tops
@@ -246,12 +199,69 @@ def _forward_blocks(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _inverse_blocks(quant: np.ndarray, table: np.ndarray, h: int, w: int) -> np.ndarray:
-    coeff = quant * table
-    blocks = np.einsum("ji,bjk,kl->bil", DCT, coeff.astype(np.float64), DCT) + 128.0
-    plane = (
-        blocks.reshape(h // 8, w // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h, w)
-    )
-    return plane
+    """Pixels of zigzag-ordered [planes, blocks, 64] coefficients, as
+    C x h x w planes on the 0..255 scale (unclipped)."""
+    c = quant.shape[0]
+    coeff = (quant[:, :, DEZIGZAG_FLAT] * table.reshape(64)).astype(np.float64)
+    blocks = DCT.T @ coeff.reshape(-1, 8, 8) @ DCT
+    blocks += 128.0
+    return blocks.reshape(c, h // 8, w // 8, 8, 8).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+
+
+def _fields(zz: np.ndarray):
+    """Bit fields (value, length) of zigzag-ordered [planes, blocks, 64]
+    coefficients, in payload order. Each block is one field for its DC
+    code and amplitude, one per nonzero AC coefficient for its zero-run
+    codes, code and amplitude, and one for end-of-block (empty when the
+    block's last coefficient is nonzero). A field is at most 59 bits."""
+    planes, per_plane, _ = zz.shape
+    n_blocks = planes * per_plane
+    dc_diff = zz[:, :, 0].copy()
+    dc_diff[:, 1:] -= zz[:, :-1, 0]
+    dc_size, dc_amp = _amplitude_bits(dc_diff.reshape(-1))
+    ac = zz.reshape(n_blocks, 64)[:, 1:]
+    block, col = np.nonzero(ac)
+    # zeros before each nonzero, counted from the previous one in its block
+    prev = np.empty_like(col)
+    prev[0:1] = -1
+    prev[1:] = np.where(block[1:] == block[:-1], col[:-1], -1)
+    run = col - prev - 1
+    size, amp = _amplitude_bits(ac[block, col])
+    symbol = ((run & 15) << 4) | size
+    n_zrl = run >> 4
+    code_len = AC_LEN[symbol] + size
+
+    # block g holds fields 2g + (nonzeros before it) .. 2g + (nonzeros up
+    # to it) + 1, so the i-th nonzero overall is field 2g + i + 1
+    counts = np.bincount(block, minlength=n_blocks)
+    dc_at = 2 * np.arange(n_blocks) + np.cumsum(counts) - counts
+    ac_at = 2 * block + np.arange(1, block.size + 1)
+    eob_at = dc_at + counts + 1
+    value = np.zeros(2 * n_blocks + block.size, dtype=np.int64)
+    length = np.zeros_like(value)
+    value[dc_at] = (DC_CODE[dc_size] << dc_size) | dc_amp
+    length[dc_at] = DC_LEN[dc_size] + dc_size
+    value[ac_at] = (_ZRL_RUNS[n_zrl] << code_len) | (AC_CODE[symbol] << size) | amp
+    length[ac_at] = AC_LEN[ZRL] * n_zrl + code_len
+    value[eob_at] = AC_CODE[EOB]
+    length[eob_at] = AC_LEN[EOB] * (ac[:, -1] == 0)
+    return value, length
+
+
+def _pack(value: np.ndarray, length: np.ndarray):
+    """Payload bytes and bit count of ``value`` fields, each its
+    ``length`` low bits, most significant first."""
+    # each bit's shift is its distance to the end of its field: length - 1
+    # at a field's first bit, then one less per bit (an int8 running sum)
+    ends = np.cumsum(length)
+    total = int(ends[-1])
+    step = np.full(total, -1, dtype=np.int8)
+    used = length > 0
+    step[(ends - length)[used]] = length[used] - 1
+    bits = np.repeat(value, length)
+    bits >>= np.cumsum(step, dtype=np.int8)
+    bits &= 1
+    return np.packbits(bits.astype(np.uint8)).tobytes(), total
 
 
 def compress(x: np.ndarray, q: int) -> bytes:
@@ -266,47 +276,108 @@ def compress(x: np.ndarray, q: int) -> bytes:
         raise CodecError(f"image dims exceed header field widths: {x.shape}")
     table = quant_table(q)
     pixels = np.clip(np.round(x * 255.0), 0, 255)
-    writer = _BitWriter()
-    pad_h = pad_w = 0
-    for ch in range(c):
-        plane, pad_h, pad_w = _pad_to_blocks(pixels[:, :, ch])
-        quant = _forward_blocks(plane, table)
-        prev_dc = 0
-        for block in quant:
-            zz = block.reshape(64)[ZIGZAG_FLAT]
-            diff = int(zz[0]) - prev_dc
-            prev_dc = int(zz[0])
-            size, amp = _amplitude_bits(diff)
-            code, length = DC_ENC[size]
-            writer.write(code, length)
-            writer.write(amp, size)
-            run = 0
-            last_nonzero = np.nonzero(zz[1:])[0]
-            last = int(last_nonzero[-1]) + 1 if last_nonzero.size else 0
-            for idx in range(1, last + 1):
-                value = int(zz[idx])
-                if value == 0:
-                    run += 1
-                    continue
-                while run >= 16:
-                    code, length = AC_ENC[ZRL]
-                    writer.write(code, length)
-                    run -= 16
-                size, amp = _amplitude_bits(value)
-                code, length = AC_ENC[(run << 4) | size]
-                writer.write(code, length)
-                writer.write(amp, size)
-                run = 0
-            if last < 63:
-                code, length = AC_ENC[EOB]
-                writer.write(code, length)
-    payload = writer.getvalue()
-    header = _HEADER.pack(MAGIC, VERSION, h, w, c, int(q), pad_h, pad_w, writer.total)
+    pad_h, pad_w = (-h) % 8, (-w) % 8
+    if pad_h or pad_w:
+        pixels = np.pad(pixels, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
+    quant = np.stack([_forward_blocks(pixels[:, :, ch], table) for ch in range(c)])
+    payload, total = _pack(*_fields(quant.reshape(c, -1, 64)[:, :, ZIGZAG_FLAT]))
+    header = _HEADER.pack(MAGIC, VERSION, h, w, c, int(q), pad_h, pad_w, total)
     return header + payload
 
 
-def decompress(stream: bytes) -> np.ndarray:
-    """Decode a stream from :func:`compress` back to an [0, 1] image."""
+def _symbol_error(message: str, pos: int, length: int, nbits: int) -> CodecError:
+    """The error a symbol of ``length`` bits at bit ``pos`` raises: running
+    past the payload comes first."""
+    if pos + length > nbits:
+        return CodecError("payload truncated", _HEADER.size + nbits // 8)
+    return CodecError(message, _HEADER.size + (pos + length) // 8)
+
+
+def _decode_blocks(payload: bytes, nbits: int, planes: int, per_plane: int) -> np.ndarray:
+    """Zigzag-ordered [planes, blocks, 64] coefficients of a payload.
+
+    Every bit position gets the 16-bit window that starts there (bytes
+    past the payload's last byte read as 0). The walk looks each symbol
+    up in the window where it starts, one table lookup per symbol, and
+    only chains positions; amplitudes are shifted out of the windows
+    afterwards. It never trusts a bit past ``nbits``: a walk that runs
+    past it is caught when its block ends, and an error raised by a
+    symbol that reaches it is a truncation.
+    """
+    nbytes = (nbits + 7) // 8
+    buf = np.zeros(nbytes + _BLOCK_BITS // 8 + 4, dtype=np.uint32)
+    buf[:nbytes] = np.frombuffer(payload, dtype=np.uint8, count=nbytes)
+    # the 24 bits from each byte on; the window at bit k of a byte is
+    # those bits shifted right by 8 - k and cut to 16 bits by the cast
+    spans = (buf[:-2] << 16) | (buf[1:-1] << 8) | buf[2:]
+    win = (spans[:, None] >> _WINDOW_SHIFTS).astype(np.uint16).reshape(-1)
+
+    window, dc_entry, ac_entry = memoryview(win), memoryview(DC_LOOKAHEAD), memoryview(AC_LOOKAHEAD)
+    n_blocks = planes * per_plane
+    # positions of each block's DC symbol and of every AC symbol that
+    # moves the index, and the count of the latter after each block
+    dc_at, ac_at, ac_end = [], [], []
+    pos = 0
+    for _ in range(n_blocks):
+        entry = dc_entry[window[pos]]
+        if not entry:
+            raise _symbol_error("invalid prefix code", pos, 16, nbits)
+        dc_at.append(pos)
+        pos += entry >> 4
+        idx = 1
+        while idx < 64:
+            entry = ac_entry[window[pos]]
+            step = (entry & 31) - 1
+            if step > 0:
+                idx += step
+                if idx > 64:
+                    raise _ac_error(entry, pos, nbits)
+                ac_at.append(pos)
+            elif step < 0:
+                raise _symbol_error("invalid prefix code", pos, 16, nbits)
+            pos += entry >> 9
+            if not step:
+                break
+        if pos > nbits:
+            raise CodecError("payload truncated", _HEADER.size + nbits // 8)
+        ac_end.append(len(ac_at))
+
+    quant = np.zeros((n_blocks, 64), dtype=np.int64)
+    at = np.array(ac_at, dtype=np.intp)
+    entry = AC_LOOKAHEAD[win[at]]
+    size = (entry >> 5) & 15
+    # a symbol's coefficient index is the sum of the steps up to it in
+    # its block
+    ends = np.asarray(ac_end, dtype=np.intp)
+    counts = np.diff(ends, prepend=0)
+    block = np.repeat(np.arange(n_blocks), counts)
+    reach = np.cumsum((entry & 31).astype(np.intp) - 1)
+    reach -= np.concatenate(([0], reach))[ends - counts][block]
+    quant[block, reach] = _amplitudes(win, at + (entry >> 9), size)
+    at = np.array(dc_at, dtype=np.intp)
+    entry = DC_LOOKAHEAD[win[at]]
+    diff = _amplitudes(win, at + (entry >> 4), entry & 15)
+    quant[:, 0] = np.cumsum(diff.reshape(planes, per_plane), axis=1).reshape(-1)
+    return quant.reshape(planes, per_plane, 64)
+
+
+def _amplitudes(win: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Signed values of the ``size``-bit amplitudes that end at ``end``."""
+    end = end.astype(np.intp)
+    size = size.astype(np.intp)
+    return _extend_amplitude(win[end - size] >> (16 - size), size)
+
+
+def _ac_error(entry: int, pos: int, nbits: int) -> CodecError:
+    """The error of an AC symbol that runs past the block's last index."""
+    size = (entry >> 5) & 15
+    message = "coefficient index overflow" if size else "invalid zero-run symbol"
+    return _symbol_error(message, pos, (entry >> 9) - size, nbits)
+
+
+def _read_header(stream: bytes):
+    """Validated header fields (h, w, c, quant table, pad_h, pad_w,
+    payload_bits)."""
     if len(stream) < _HEADER.size:
         raise CodecError("stream shorter than header", len(stream))
     magic, version, h, w, c, q, pad_h, pad_w, payload_bits = _HEADER.unpack_from(stream)
@@ -316,48 +387,24 @@ def decompress(stream: bytes) -> np.ndarray:
         raise CodecError(f"unsupported version {version}", 4)
     if h < 1 or w < 1 or c < 1 or pad_h > 7 or pad_w > 7:
         raise CodecError("invalid header dimensions", 5)
-    payload = stream[_HEADER.size :]
-    if payload_bits > len(payload) * 8:
+    if payload_bits > (len(stream) - _HEADER.size) * 8:
         raise CodecError("payload shorter than declared bit count", len(stream))
     table = quant_table(q)
-    hp, wp = h + pad_h, w + pad_w
-    if hp % 8 or wp % 8:
+    if (h + pad_h) % 8 or (w + pad_w) % 8:
         raise CodecError("padded dimensions not a multiple of the block size", 5)
-    blocks_per_plane = (hp // 8) * (wp // 8)
     # every block costs at least one DC symbol and one end-of-block, so
     # headers promising more blocks than the payload could hold are bad
-    if 2 * blocks_per_plane * c > payload_bits + 16:
+    if 2 * ((h + pad_h) // 8) * ((w + pad_w) // 8) * c > payload_bits + 16:
         raise CodecError("header dimensions inconsistent with payload size", 5)
-    reader = _BitReader(payload, payload_bits, _HEADER.size)
-    out = np.zeros((h, w, c))
-    for ch in range(c):
-        quant = np.zeros((blocks_per_plane, 64), dtype=np.int64)
-        prev_dc = 0
-        for b in range(blocks_per_plane):
-            size = _decode_symbol(reader, DC_DEC)
-            diff = _extend_amplitude(reader.read_bits(size), size)
-            prev_dc += diff
-            quant[b, 0] = prev_dc
-            idx = 1
-            while idx < 64:
-                symbol = _decode_symbol(reader, AC_DEC)
-                if symbol == EOB:
-                    break
-                run = symbol >> 4
-                size = symbol & 0x0F
-                if size == 0:
-                    if run != 15 or idx + 16 > 64:
-                        raise CodecError("invalid zero-run symbol", reader.byte_offset)
-                    idx += 16
-                    continue
-                idx += run
-                if idx > 63:
-                    raise CodecError("coefficient index overflow", reader.byte_offset)
-                amp = _extend_amplitude(reader.read_bits(size), size)
-                quant[b, idx] = amp
-                idx += 1
-        plane = _inverse_blocks(
-            quant[:, DEZIGZAG_FLAT].reshape(-1, 8, 8), table, hp, wp
-        )
-        out[:, :, ch] = np.clip(plane, 0.0, 255.0)[:h, :w]
-    return out / 255.0
+    return h, w, c, table, pad_h, pad_w, payload_bits
+
+
+def decompress(stream: bytes) -> np.ndarray:
+    """Decode a stream from :func:`compress` back to an [0, 1] image."""
+    h, w, c, table, pad_h, pad_w, payload_bits = _read_header(stream)
+    hp, wp = h + pad_h, w + pad_w
+    quant = _decode_blocks(stream[_HEADER.size :], payload_bits, c, (hp // 8) * (wp // 8))
+    planes = np.clip(_inverse_blocks(quant, table, hp, wp), 0.0, 255.0)
+    out = np.ascontiguousarray(planes[:, :h, :w].transpose(1, 2, 0))
+    out /= 255.0
+    return out

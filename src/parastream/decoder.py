@@ -105,6 +105,13 @@ class PagNet(Module):
         return logit.transpose(0, 3, 1, 2)
 
     def stream_weights(self, v: Tensor, u: Tensor, snr_db) -> Tensor:
+        """Per-pixel weights [B,2,H,W] of the two streams at ``snr_db``.
+
+        The SNR picks a row of the embedding table: it is rounded to
+        whole dB (half to even) and clipped to the table's levels 0 ..
+        levels-1 dB. So an SNR below 0 dB is treated as 0 dB and one
+        above the top level as the top level, without a warning.
+        """
         if v.data.shape != u.data.shape:
             raise DimensionError(
                 f"stream shapes differ: {v.data.shape} vs {u.data.shape}"

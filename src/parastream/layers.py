@@ -75,8 +75,9 @@ class Module:
 @contextlib.contextmanager
 def frozen(params):
     """Clear ``requires_grad`` on ``params`` inside a ``with`` block and
-    restore each flag on exit. Ops record no graph edge into a frozen
-    tensor, and a backward pass inside the block leaves its grad alone."""
+    restore each flag on exit. Ops run inside the block record no graph
+    edge into a frozen tensor, so no backward pass through them, inside
+    the block or after it, fills its grad."""
     saved = [(p, p.requires_grad) for p in params]
     for p, _ in saved:
         p.requires_grad = False

@@ -203,6 +203,8 @@ def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
             loss.backward()
             opt.step()
             history.append(float(loss.data))
+    # the last step's gradients are spent; leave none on the model
+    opt.zero_grad()
     model.stage = cfg.stage
     return model, history
 

@@ -281,3 +281,242 @@ def toy_images(n=3, size=8):
     from parastream import data
 
     return data.make_corpus(count=n, size=size, seed=500)
+
+
+# Bit-serial block-DCT coder: the reference that codec.compress and
+# codec.decompress must match byte for byte and decode for decode. It
+# writes one field at a time through a bit accumulator, reads one bit
+# per call, searches code lengths 1..16 for every symbol, and runs the
+# inverse DCT as a three-operand einsum.
+
+
+class _BitWriter:
+    def __init__(self):
+        self.buf = bytearray()
+        self.acc = 0
+        self.fill = 0
+        self.total = 0
+
+    def write(self, value, nbits):
+        if nbits == 0:
+            return
+        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
+        self.fill += nbits
+        self.total += nbits
+        while self.fill >= 8:
+            self.fill -= 8
+            self.buf.append((self.acc >> self.fill) & 0xFF)
+        self.acc &= (1 << self.fill) - 1
+
+    def getvalue(self):
+        if self.fill:
+            return bytes(self.buf) + bytes([(self.acc << (8 - self.fill)) & 0xFF])
+        return bytes(self.buf)
+
+
+class _BitReader:
+    def __init__(self, data, nbits, base_offset):
+        self.data = data
+        self.nbits = nbits
+        self.pos = 0
+        self.base = base_offset
+
+    @property
+    def byte_offset(self):
+        return self.base + self.pos // 8
+
+    def read_bit(self):
+        from parastream.codec import CodecError
+
+        if self.pos >= self.nbits:
+            raise CodecError("payload truncated", self.byte_offset)
+        byte = self.data[self.pos // 8]
+        bit = (byte >> (7 - self.pos % 8)) & 1
+        self.pos += 1
+        return bit
+
+    def read_bits(self, nbits):
+        value = 0
+        for _ in range(nbits):
+            value = (value << 1) | self.read_bit()
+        return value
+
+
+def _encoder_table_oracle(bits, vals):
+    codes = {}
+    code = 0
+    k = 0
+    for length in range(1, 17):
+        for _ in range(bits[length - 1]):
+            codes[vals[k]] = (code, length)
+            k += 1
+            code += 1
+        code <<= 1
+    return codes
+
+
+def _decoder_table_oracle(bits, vals):
+    mincode = [0] * 17
+    maxcode = [-1] * 17
+    valptr = [0] * 17
+    code = 0
+    k = 0
+    for length in range(1, 17):
+        if bits[length - 1] == 0:
+            maxcode[length] = -1
+        else:
+            valptr[length] = k
+            mincode[length] = code
+            k += bits[length - 1]
+            code += bits[length - 1]
+            maxcode[length] = code - 1
+        code <<= 1
+    return mincode, maxcode, valptr, vals
+
+
+def _decode_symbol_oracle(reader, table):
+    from parastream.codec import CodecError
+
+    mincode, maxcode, valptr, vals = table
+    code = 0
+    for length in range(1, 17):
+        code = (code << 1) | reader.read_bit()
+        if maxcode[length] >= 0 and code <= maxcode[length]:
+            return vals[valptr[length] + code - mincode[length]]
+    raise CodecError("invalid prefix code", reader.byte_offset)
+
+
+def _amplitude_bits_oracle(value):
+    size = int(abs(value)).bit_length()
+    if value < 0:
+        return size, value + (1 << size) - 1
+    return size, value
+
+
+def _extend_amplitude_oracle(bits, size):
+    if size == 0:
+        return 0
+    if bits < (1 << (size - 1)):
+        return bits - (1 << size) + 1
+    return bits
+
+
+def compress_oracle(x, q):
+    """codec.compress one field at a time; returns the same bytes."""
+    from parastream import codec
+    from parastream.codec import CodecError
+
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] < 1 or x.shape[2] < 1:
+        raise CodecError(f"image must be H x W x C with positive dims, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise CodecError("image holds non-finite pixels")
+    h, w, c = x.shape
+    table = codec.quant_table(q)
+    dc_enc = _encoder_table_oracle(codec.DC_BITS, codec.DC_VALS)
+    ac_enc = _encoder_table_oracle(codec.AC_BITS, codec.AC_VALS)
+    pixels = np.clip(np.round(x * 255.0), 0, 255)
+    writer = _BitWriter()
+    pad_h, pad_w = (-h) % 8, (-w) % 8
+    for ch in range(c):
+        plane = np.pad(pixels[:, :, ch], ((0, pad_h), (0, pad_w)), mode="edge")
+        hp, wp = plane.shape
+        blocks = plane.reshape(hp // 8, 8, wp // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+        coeff = np.einsum("ij,bjk,lk->bil", codec.DCT, blocks - 128.0, codec.DCT)
+        quant = np.clip(np.round(coeff / table), -1023, 1023)
+        quant[:, 0, 0] = np.clip(np.round(coeff[:, 0, 0] / table[0, 0]), -1024, 1016)
+        prev_dc = 0
+        for block in quant.astype(np.int64):
+            zz = block.reshape(64)[codec.ZIGZAG_FLAT]
+            diff = int(zz[0]) - prev_dc
+            prev_dc = int(zz[0])
+            size, amp = _amplitude_bits_oracle(diff)
+            writer.write(*dc_enc[size])
+            writer.write(amp, size)
+            run = 0
+            last_nonzero = np.nonzero(zz[1:])[0]
+            last = int(last_nonzero[-1]) + 1 if last_nonzero.size else 0
+            for idx in range(1, last + 1):
+                value = int(zz[idx])
+                if value == 0:
+                    run += 1
+                    continue
+                while run >= 16:
+                    writer.write(*ac_enc[codec.ZRL])
+                    run -= 16
+                size, amp = _amplitude_bits_oracle(value)
+                writer.write(*ac_enc[(run << 4) | size])
+                writer.write(amp, size)
+                run = 0
+            if last < 63:
+                writer.write(*ac_enc[codec.EOB])
+    header = codec._HEADER.pack(
+        codec.MAGIC, codec.VERSION, h, w, c, int(q), pad_h, pad_w, writer.total
+    )
+    return header + writer.getvalue()
+
+
+def decompress_oracle(stream, return_quant=False):
+    """codec.decompress one bit per call. With ``return_quant`` it also
+    returns the quantized coefficients as [channels, blocks, 64] in
+    zigzag order."""
+    from parastream import codec
+    from parastream.codec import CodecError
+
+    header = codec._HEADER
+    if len(stream) < header.size:
+        raise CodecError("stream shorter than header", len(stream))
+    magic, version, h, w, c, q, pad_h, pad_w, payload_bits = header.unpack_from(stream)
+    if magic != codec.MAGIC:
+        raise CodecError(f"bad magic {magic!r}", 0)
+    if version != codec.VERSION:
+        raise CodecError(f"unsupported version {version}", 4)
+    if h < 1 or w < 1 or c < 1 or pad_h > 7 or pad_w > 7:
+        raise CodecError("invalid header dimensions", 5)
+    payload = stream[header.size :]
+    if payload_bits > len(payload) * 8:
+        raise CodecError("payload shorter than declared bit count", len(stream))
+    table = codec.quant_table(q)
+    hp, wp = h + pad_h, w + pad_w
+    if hp % 8 or wp % 8:
+        raise CodecError("padded dimensions not a multiple of the block size", 5)
+    blocks_per_plane = (hp // 8) * (wp // 8)
+    if 2 * blocks_per_plane * c > payload_bits + 16:
+        raise CodecError("header dimensions inconsistent with payload size", 5)
+    dc_dec = _decoder_table_oracle(codec.DC_BITS, codec.DC_VALS)
+    ac_dec = _decoder_table_oracle(codec.AC_BITS, codec.AC_VALS)
+    reader = _BitReader(payload, payload_bits, header.size)
+    out = np.zeros((h, w, c))
+    quants = []
+    for ch in range(c):
+        quant = np.zeros((blocks_per_plane, 64), dtype=np.int64)
+        prev_dc = 0
+        for b in range(blocks_per_plane):
+            size = _decode_symbol_oracle(reader, dc_dec)
+            prev_dc += _extend_amplitude_oracle(reader.read_bits(size), size)
+            quant[b, 0] = prev_dc
+            idx = 1
+            while idx < 64:
+                symbol = _decode_symbol_oracle(reader, ac_dec)
+                if symbol == codec.EOB:
+                    break
+                run = symbol >> 4
+                size = symbol & 0x0F
+                if size == 0:
+                    if run != 15 or idx + 16 > 64:
+                        raise CodecError("invalid zero-run symbol", reader.byte_offset)
+                    idx += 16
+                    continue
+                idx += run
+                if idx > 63:
+                    raise CodecError("coefficient index overflow", reader.byte_offset)
+                quant[b, idx] = _extend_amplitude_oracle(reader.read_bits(size), size)
+                idx += 1
+        quants.append(quant)
+        coeff = (quant[:, codec.DEZIGZAG_FLAT].reshape(-1, 8, 8) * table).astype(np.float64)
+        blocks = np.einsum("ji,bjk,kl->bil", codec.DCT, coeff, codec.DCT) + 128.0
+        plane = blocks.reshape(hp // 8, wp // 8, 8, 8).transpose(0, 2, 1, 3).reshape(hp, wp)
+        out[:, :, ch] = np.clip(plane, 0.0, 255.0)[:h, :w]
+    if return_quant:
+        return out / 255.0, np.stack(quants)
+    return out / 255.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from parastream import autodiff as ad
 from parastream.autodiff import Tensor
+from parastream.layers import frozen
 
 from helpers import (
     conv2d_grads_oracle,
@@ -280,6 +281,51 @@ class TestWeightGradientOracles:
             ad.conv_transpose2d, conv_transpose2d_grads_oracle,
             batch, stride, padding, 2, (2, 3, k, k),
         )
+
+
+def _conv(x, w):
+    return ad.conv2d(x, w, padding=1)
+
+
+def _conv_t(x, w):
+    return ad.conv_transpose2d(x, w, padding=1)
+
+
+class TestFlagsCapturedWhenOpRuns:
+    """requires_grad is read when an op runs, not when backward() does."""
+
+    OPS = {
+        "conv2d": (_conv, (2, 2, 3, 3)),
+        "conv_transpose2d": (_conv_t, (2, 2, 3, 3)),
+        "matmul": (lambda x, w: x.reshape(4, 25) @ w, (25, 3)),
+        "mul": (lambda x, w: x * w, (1, 2, 5, 5)),
+    }
+
+    def _operands(self, shape):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal(shape), requires_grad=True)
+        return x, w
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_graph_built_frozen_leaves_weight_alone_after(self, name):
+        op, shape = self.OPS[name]
+        x, w = self._operands(shape)
+        with frozen([w]):
+            loss = op(x, w).sum()
+        assert w.requires_grad
+        loss.backward()
+        assert w.grad is None
+        assert x.grad is not None
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_graph_built_live_fills_weight_inside_frozen(self, name):
+        op, shape = self.OPS[name]
+        x, w = self._operands(shape)
+        loss = op(x, w).sum()
+        with frozen([w]):
+            loss.backward()
+        assert w.grad is not None and np.any(w.grad)
 
 
 class TestGdn:

@@ -1,11 +1,16 @@
 """Block-DCT codec tests: quantizer scaling, round trips, stream
-determinism, corruption behavior, and frozen desk-scale regressions."""
+determinism, corruption behavior, frozen desk-scale regressions, and
+the table-driven coder against the bit-serial oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastream import codec, data, metrics
 from parastream.rng import make_rng
+
+from helpers import compress_oracle, decompress_oracle
 
 # measured once on gradient_image(make_rng(11), 32) at q=95, frozen
 Q95_GRADIENT_PSNR = 59.782
@@ -57,6 +62,7 @@ class TestCompress:
         # 4 blocks x 3 channels, each a 2-bit zero-diff DC plus a 4-bit EOB
         payload_bits = int.from_bytes(stream[13:17], "big")
         assert payload_bits == 72
+        assert stream[17:] == bytes.fromhex("28a28a28a28a28a28a")
         np.testing.assert_array_equal(codec.decompress(stream), gray)
 
     def test_size_monotone_in_quality(self):
@@ -186,3 +192,133 @@ class TestAmplitudeCoding:
         assert codec._amplitude_bits(1)[0] == 1
         assert codec._amplitude_bits(-1)[0] == 1
         assert codec._amplitude_bits(1023)[0] == 10
+
+
+def _image(kind, h, w, c, seed):
+    """An h x w x c image in [0, 1]: random pixels, one flat value, or
+    smooth blobs (channels cycle through the blob's three)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((h, w, c))
+    if kind == "flat":
+        return np.full((h, w, c), rng.random())
+    blob = data.blob_image(make_rng(seed), max(h, w))
+    return blob[:h, :w, [i % 3 for i in range(c)]]
+
+
+images = st.tuples(
+    st.sampled_from(["random", "flat", "blob"]),
+    st.integers(1, 72),
+    st.integers(1, 72),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+
+
+def _coefficients(stream):
+    h, w, c, _, pad_h, pad_w, payload_bits = codec._read_header(stream)
+    per_plane = ((h + pad_h) // 8) * ((w + pad_w) // 8)
+    return codec._decode_blocks(stream[codec._HEADER.size :], payload_bits, c, per_plane)
+
+
+class TestOracle:
+    """The table-driven coder against the bit-serial one in helpers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(image=images, q=st.integers(1, 100))
+    def test_streams_and_decodes_match(self, image, q):
+        x = _image(*image)
+        stream = codec.compress(x, q)
+        assert stream == compress_oracle(x, q)
+        expected, quant = decompress_oracle(stream, return_quant=True)
+        np.testing.assert_array_equal(_coefficients(stream), quant)
+        np.testing.assert_allclose(codec.decompress(stream), expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def damaged_streams(draw):
+    """A valid stream with flipped bytes, cut short, with one header
+    byte replaced, or with a random payload behind its header."""
+    kind, h, w, c, seed = draw(images)
+    h, w = min(h, 24), min(w, 24)
+    stream = bytearray(codec.compress(_image(kind, h, w, c, seed), draw(st.integers(1, 100))))
+    how = draw(st.sampled_from(["flip", "truncate", "header", "payload"]))
+    if how == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            pos = draw(st.integers(0, len(stream) - 1))
+            stream[pos] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del stream[draw(st.integers(0, len(stream) - 1)) :]
+    elif how == "header":
+        stream[draw(st.integers(5, 16))] = draw(st.integers(0, 255))
+    else:
+        size = len(stream) - codec._HEADER.size
+        stream[codec._HEADER.size :] = draw(st.binary(min_size=size, max_size=size))
+    return bytes(stream)
+
+
+def _outcome(decode, stream):
+    try:
+        return decode(stream)
+    except codec.CodecError as err:
+        return err
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=damaged_streams())
+    def test_damaged_streams_decode_or_raise_codec_error(self, stream):
+        # any other exception escapes and fails the test
+        got = _outcome(codec.decompress, stream)
+        want = _outcome(decompress_oracle, stream)
+        if isinstance(want, codec.CodecError):
+            assert isinstance(got, codec.CodecError), want
+            assert (str(got), got.offset) == (str(want), want.offset)
+            return
+        assert not isinstance(got, codec.CodecError), got
+        h, w, c = codec._HEADER.unpack_from(stream)[2:5]
+        assert got.shape == (h, w, c)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.binary(max_size=64), header=st.tuples(
+        st.integers(1, 40), st.integers(1, 40), st.integers(1, 3),
+        st.integers(0, 101), st.integers(0, 8), st.integers(0, 8), st.integers(0, 600),
+    ))
+    def test_random_payloads_decode_or_raise_codec_error(self, payload, header):
+        stream = codec._HEADER.pack(codec.MAGIC, codec.VERSION, *header) + payload
+        got = _outcome(codec.decompress, stream)
+        want = _outcome(decompress_oracle, stream)
+        if isinstance(want, codec.CodecError):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert got.shape == header[:3]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "payload_bits, message, offset",
+        [(10, "payload truncated", 18), (24, "invalid prefix code", 19)],
+    )
+    def test_truncation_wins_over_an_invalid_code(self, payload_bits, message, offset):
+        # all-ones bits start no DC code; the search reads 16 of them
+        # first, so a payload shorter than that is a truncation
+        stream = codec._HEADER.pack(
+            codec.MAGIC, codec.VERSION, 8, 8, 1, 50, 0, 0, payload_bits
+        ) + b"\xff\xff\xff"
+        for decode in (codec.decompress, decompress_oracle):
+            with pytest.raises(codec.CodecError, match=message) as err:
+                decode(stream)
+            assert err.value.offset == offset
+
+    def test_decode_walk_is_bounded_by_the_payload(self):
+        # 1024 x 1024 px is 16384 blocks, about what the size check lets
+        # 4 kB of payload promise; all zero bits decode as a 2-bit DC and
+        # 63 3-bit AC symbols per block, so the walk runs out of bits
+        # after 172 blocks and stops there
+        payload_bits = 4096 * 8
+        stream = codec._HEADER.pack(
+            codec.MAGIC, codec.VERSION, 1024, 1024, 1, 50, 0, 0, payload_bits
+        )
+        with pytest.raises(codec.CodecError, match="truncated"):
+            codec.decompress(stream + bytes(4096))

@@ -124,6 +124,24 @@ class TestPagnet:
             net.stream_weights(v, u, 33).data, net.stream_weights(v, u, 20).data
         )
 
+    def test_out_of_range_snr_pins_to_end_levels(self):
+        # the documented policy: round to whole dB, then clip to the table
+        net = decoder.PagNet(3, make_rng(20))
+        looked_up = []
+        table = net.snr_embed
+
+        def spy(index):
+            looked_up.append(list(index))
+            return table(index)
+
+        net.snr_embed = spy
+        v = Tensor(make_rng(21).standard_normal((1, 3, 2, 2)))
+        u = Tensor(make_rng(22).standard_normal((1, 3, 2, 2)))
+        for snr in (-3.0, 25.0, 2.5, 7.6):
+            net.stream_weights(v, u, snr)
+        assert looked_up == [[0], [net.levels - 1], [2], [8]]
+        assert net.levels - 1 == 20
+
     def test_shape_mismatch_rejected(self):
         net = decoder.PagNet(3, make_rng(23))
         with pytest.raises(DimensionError, match="stream"):

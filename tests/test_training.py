@@ -422,7 +422,15 @@ class TestTrainLoop:
         for p in others:
             assert p.grad is None
             assert p.requires_grad
-        assert all(p.requires_grad and p.grad is not None for p in model.ra_parameters())
+        assert all(p.requires_grad for p in model.ra_parameters())
+
+    def test_train_leaves_no_gradients(self):
+        # the last step's gradients are spent once Adam has used them
+        model = toy_model()
+        model, _ = train(self._cfg(1, steps=2), toy_images(), model, toy_pipeline())
+        assert all(p.grad is None for p in model.parameters())
+        model, _ = train(self._cfg(2, steps=2), toy_images(), model, toy_pipeline())
+        assert all(p.grad is None for p in model.parameters())
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = toy_model(seed=3)
