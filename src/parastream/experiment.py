@@ -16,21 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, ldpc
-from .channel import ChannelConfig, transmit
+from . import data
+from .channel import ChannelConfig
 from .config import ExperimentConfig, load_config
-from .modem import qpsk_modulate, qpsk_soft_demod
 from .pipeline import (
     DEFAULT_TABLE,
     ModelConfig,
     PipelineConfig,
     SemanticModel,
     load_code,
+    send_coded,
     transmit_image,
 )
 from .rng import make_rng
 
 CSV_COLUMNS = ("snr_db", "cbr", "psnr_db", "ms_ssim", "corruption_rate", "seed")
+FER_CHUNK = 500  # frames per send_coded call; fer_monte_carlo keys trials on it
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,7 @@ def _fmt(value):
 def rows_to_csv(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(getattr(row, column)) for column in CSV_COLUMNS
-            )
-        )
+        lines.append(",".join(_fmt(getattr(row, column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -172,28 +169,23 @@ def run_experiment(config_path):
     return write_outputs(rows, cfg.out)
 
 
-def fer_monte_carlo(snr_db, frames, seed=0, code=DEFAULT_TABLE, max_iter=50,
-                    chunk=500):
+def fer_monte_carlo(snr_db, frames, seed=0, code=DEFAULT_TABLE, max_iter=50):
     """Frame error rate of the coded QPSK link over an AWGN channel.
 
-    A frame errs when decoding fails to converge or the recovered info
-    bits differ from the transmitted ones.
+    Chunk c of FER_CHUNK random frames crosses send_coded at channel
+    trial c. A frame errs when decoding fails to converge or the info
+    bits it recovers differ from the ones sent.
     """
+    if frames < 1:
+        raise ValueError(f"frames must be at least 1, got {frames}")
     pcm = load_code(code)
-    cfg = ChannelConfig(kind="awgn", snr_db=snr_db, seed=seed)
+    chan = ChannelConfig(kind="awgn", snr_db=snr_db, seed=seed)
     rng = make_rng(seed)
     errors = 0
-    done = 0
-    trial = 0
-    while done < frames:
-        batch = min(chunk, frames - done)
-        info = rng.integers(0, 2, size=(batch, pcm.k), dtype=np.uint8)
-        codewords = ldpc.ldpc_encode(pcm, info)
-        y, real = transmit(qpsk_modulate(codewords.reshape(-1)), cfg, trial=trial)
-        llr = qpsk_soft_demod(y, real.h, real.sigma2).reshape(batch, pcm.n)
-        bits, converged, _ = ldpc.ldpc_decode_bp(pcm, llr, max_iter)
-        wrong = (bits[:, : pcm.k] != info).any(axis=1)
+    for trial, start in enumerate(range(0, frames, FER_CHUNK)):
+        size = (min(FER_CHUNK, frames - start), pcm.k)
+        info = rng.integers(0, 2, size=size, dtype=np.uint8)
+        ((bits, converged, _),) = send_coded([info], chan, pcm, [trial], max_iter)
+        wrong = (bits != info).any(axis=1)
         errors += int((wrong | ~converged).sum())
-        done += batch
-        trial += 1
     return errors / frames

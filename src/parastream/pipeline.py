@@ -165,38 +165,53 @@ def split_source(x, q: int):
     return x_r + x_c, x_c, x_r, blob
 
 
-def _send_conventional(blob, shape, cfg, pcm, trial):
-    """Compressed bytes through LDPC/QPSK/channel; returns the receiver
-    image, the corruption flag, and the segment table (which also counts
-    the frames that converged and the BP iterations summed over frames)."""
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
-    frames, pad = bits_to_frames(bits, pcm.k)
-    code = ldpc.ldpc_encode(pcm, frames)
-    symbols = qpsk_modulate(code.reshape(-1))
-    gain = power_gain(symbols, cfg.channel.power)
-    y, real = transmit(gain * symbols, cfg.channel, trial)
-    sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
-    llr = qpsk_soft_demod(y, gain * real.h, sigma2)
-    hard, converged, iters = ldpc.ldpc_decode_bp(
-        pcm, llr.reshape(code.shape), max_iter=cfg.bp_iters
-    )
-    payload = np.packbits(frames_to_bits(hard[:, : pcm.k], pad)).tobytes()
-    frame_bits = (pcm.k,) * (frames.shape[0] - 1) + (pcm.k - pad,)
-    segments = {
-        "frame_bits": frame_bits,
-        "pad_bits": pad,
-        "image_symbols": frames.shape[0] * (pcm.n // 2),
-        "frames_converged": int(converged.sum()),
-        "bp_iterations": int(iters.sum()),
-    }
-    corrupted = not bool(converged.all())
-    try:
-        x_c = codec.decompress(payload)
-    except codec.CodecError:
-        return np.full(shape, 0.5), True, segments
-    if x_c.shape != shape:
-        return np.full(shape, 0.5), True, segments
-    return x_c, corrupted, segments
+def send_coded(payloads, chan: ChannelConfig, pcm, trials, bp_iters):
+    """[frames, k] info-bit payloads through LDPC, QPSK and the channel.
+
+    Payload i is power-normalized, crosses `chan` at trials[i] and is
+    demapped on its own (at _NOISELESS_SIGMA2 if the channel has no
+    noise), while one encoder and one decoder call cover every frame.
+    Returns one (hard info bits, converged, iters) per payload, by frame.
+    """
+    bounds = np.cumsum([frames.shape[0] for frames in payloads])[:-1]
+    code = ldpc.ldpc_encode(pcm, np.concatenate(payloads))
+    llrs = []
+    for words, trial in zip(np.split(code, bounds), trials):
+        symbols = qpsk_modulate(words.reshape(-1))
+        gain = power_gain(symbols, chan.power)
+        y, real = transmit(gain * symbols, chan, trial)
+        sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
+        llrs.append(qpsk_soft_demod(y, gain * real.h, sigma2).reshape(words.shape))
+    hard, converged, iters = ldpc.ldpc_decode_bp(pcm, np.concatenate(llrs), bp_iters)
+    parts = (hard[:, : pcm.k], converged, iters)
+    return list(zip(*(np.split(part, bounds) for part in parts)))
+
+
+def _send_conventional(blobs, shapes, cfg, pcm, trials):
+    """Compressed images through send_coded, image i at trial trials[i].
+    Returns one (receiver image, corruption flag, segment table) each;
+    an image whose bits do not decompress to its shape arrives mid-gray."""
+    bits = [np.unpackbits(np.frombuffer(blob, dtype=np.uint8)) for blob in blobs]
+    framed = [bits_to_frames(b, pcm.k) for b in bits]
+    payloads = [frames for frames, _ in framed]
+    received = send_coded(payloads, cfg.channel, pcm, trials, cfg.bp_iters)
+    out = []
+    for (frames, pad), shape, (hard, converged, iters) in zip(framed, shapes, received):
+        segments = {
+            "frame_bits": (pcm.k,) * (frames.shape[0] - 1) + (pcm.k - pad,),
+            "pad_bits": pad,
+            "image_symbols": frames.shape[0] * (pcm.n // 2),
+            "frames_converged": int(converged.sum()),
+            "bp_iterations": int(iters.sum()),
+        }
+        try:
+            x_c = codec.decompress(np.packbits(frames_to_bits(hard, pad)).tobytes())
+        except codec.CodecError:
+            x_c = np.empty(0)
+        ok = x_c.shape == shape
+        corrupted = not (ok and converged.all())
+        out.append((x_c if ok else np.full(shape, 0.5), corrupted, segments))
+    return out
 
 
 def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
@@ -237,8 +252,8 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         pcm = load_code(cfg.code)
     x_ref, _, x_r, blob = split_source(x, cfg.q)
 
-    x_c_hat, corrupted, seg = _send_conventional(
-        blob, x_ref.shape, cfg, pcm, 2 * seed
+    ((x_c_hat, corrupted, seg),) = _send_conventional(
+        [blob], [x_ref.shape], cfg, pcm, [2 * seed]
     )
 
     if cfg.semantic:

@@ -11,13 +11,11 @@ frozen parameters keep no grad. Every batch samples one SNR from the
 training set and runs the conventional branch for real (no gradients),
 so the decoder sees genuinely corrupted reconstructions at low SNR.
 
-Both streams cross the same channel functions that `transmit_image`
-uses (`pipeline._send_conventional` and `pipeline.send_analog`), so
-training noise comes from `ChannelConfig.seed` and a trial index. The
-image at position i of step s in stage k is keyed on
-t = 3 * (s * batch_size + i) + k - 1; its conventional stream takes
-channel trial 2t and its semantic stream 2t + 1, so no realization
-repeats within or across the three stages.
+Each step sends its whole batch through one
+`pipeline._send_conventional` call (one LDPC encode and one BP decode
+over every frame) and each image's features through
+`pipeline.send_analog`, on per-image channel trials (see
+`training_forward`) that never repeat within or across the stages.
 """
 
 from __future__ import annotations
@@ -127,15 +125,10 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     """
     chan = replace(pcfg.channel, snr_db=float(snr_db))
     keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
-    refs, residuals, received_cond = [], [], []
-    for img, t in zip(images, keys):
-        x_ref, _, x_r, blob = split_source(img, pcfg.q)
-        x_c_hat, _, _ = _send_conventional(
-            blob, x_ref.shape, replace(pcfg, channel=chan), pcm, 2 * t
-        )
-        refs.append(x_ref)
-        residuals.append(x_r)
-        received_cond.append(x_c_hat)
+    refs, _, residuals, blobs = zip(*(split_source(img, pcfg.q) for img in images))
+    shapes, cfg = [x.shape for x in refs], replace(pcfg, channel=chan)
+    sent = _send_conventional(blobs, shapes, cfg, pcm, [2 * t for t in keys])
+    received_cond = [x_c_hat for x_c_hat, _, _ in sent]
     x = batch_to_tensor(refs)
     s, r = model.encoder(x, batch_to_tensor(residuals))
     s_tilde = rate.quantize(s, "train", rng)

@@ -139,6 +139,50 @@ def syndrome_oracle(pcm, bits):
     return (sums % 2).astype(np.uint8)
 
 
+def send_conventional_oracle(blob, shape, cfg, pcm, trial):
+    """One image's compressed bytes through LDPC/QPSK/channel on their
+    own: the reference for one image of pipeline._send_conventional.
+    Returns (receiver image, corruption flag, segment table)."""
+    from parastream import codec, ldpc
+    from parastream.channel import transmit
+    from parastream.modem import qpsk_modulate, qpsk_soft_demod
+    from parastream.pipeline import (
+        _NOISELESS_SIGMA2,
+        bits_to_frames,
+        frames_to_bits,
+        power_gain,
+    )
+
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
+    frames, pad = bits_to_frames(bits, pcm.k)
+    code = ldpc.ldpc_encode(pcm, frames)
+    symbols = qpsk_modulate(code.reshape(-1))
+    gain = power_gain(symbols, cfg.channel.power)
+    y, real = transmit(gain * symbols, cfg.channel, trial)
+    sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
+    llr = qpsk_soft_demod(y, gain * real.h, sigma2)
+    hard, converged, iters = ldpc.ldpc_decode_bp(
+        pcm, llr.reshape(code.shape), max_iter=cfg.bp_iters
+    )
+    payload = np.packbits(frames_to_bits(hard[:, : pcm.k], pad)).tobytes()
+    frame_bits = (pcm.k,) * (frames.shape[0] - 1) + (pcm.k - pad,)
+    segments = {
+        "frame_bits": frame_bits,
+        "pad_bits": pad,
+        "image_symbols": frames.shape[0] * (pcm.n // 2),
+        "frames_converged": int(converged.sum()),
+        "bp_iterations": int(iters.sum()),
+    }
+    corrupted = not bool(converged.all())
+    try:
+        x_c = codec.decompress(payload)
+    except codec.CodecError:
+        return np.full(shape, 0.5), True, segments
+    if x_c.shape != shape:
+        return np.full(shape, 0.5), True, segments
+    return x_c, corrupted, segments
+
+
 def ldpc_decode_bp_oracle(pcm, llr, max_iter=50):
     """Edge-list, log-domain sum-product decoder: the reference that
     ldpc.ldpc_decode_bp must match in bits, convergence and iterations.

@@ -137,3 +137,25 @@ def test_channel_is_the_only_noise_source():
         if path.name != "channel.py" and "standard_normal" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_every_coded_crossing_goes_through_one_link():
+    # pipeline.send_coded is the only place bits meet the LDPC code and
+    # the QPSK modem; a second call site would be a second coded link
+    package = pathlib.Path(channel.__file__).parent
+    sources = {
+        path.name: path.read_text()
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("ldpc.py", "modem.py")
+    }
+    calls = ("ldpc_encode(", "ldpc_decode_bp(", "qpsk_modulate(", "qpsk_soft_demod(")
+    for call in calls:
+        sites = {name: text.count(call) for name, text in sources.items()}
+        assert {name: n for name, n in sites.items() if n} == {"pipeline.py": 1}, call
+
+
+def test_fer_probe_has_no_link_of_its_own():
+    from parastream import experiment
+
+    for name in ("ldpc", "modem", "transmit", "qpsk_modulate", "qpsk_soft_demod"):
+        assert name not in vars(experiment), name

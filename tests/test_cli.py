@@ -135,3 +135,13 @@ class TestFecBenchCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("snr_db=8 fer=0")
+
+    def test_infinite_snr_is_noiseless(self, capsys):
+        rc = cli.main(["fec-bench", "--snr", "inf", "--frames", "5"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("snr_db=inf fer=0 ")
+
+    def test_zero_frames_fails_cleanly(self, capsys):
+        rc = cli.main(["fec-bench", "--frames", "0"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err

@@ -225,3 +225,22 @@ class TestFerMonteCarlo:
 
     def test_above_the_cliff_frames_survive(self):
         assert experiment.fer_monte_carlo(8.0, 20, seed=1) == 0.0
+
+    @pytest.mark.parametrize(
+        "snr_db, frames, seed, fer",
+        [
+            (2.0, 60, 12, 1.0),
+            # 700 frames span two chunks, so chunk c's trial keying shows
+            (4.0, 700, 14, 386 / 700),
+        ],
+    )
+    def test_pinned_values(self, snr_db, frames, seed, fer):
+        assert experiment.fer_monte_carlo(snr_db, frames, seed=seed) == fer
+
+    def test_noiseless_channel_never_errs(self):
+        assert experiment.fer_monte_carlo(np.inf, 20, seed=1) == 0.0
+
+    @pytest.mark.parametrize("frames", [0, -3])
+    def test_needs_a_frame(self, frames):
+        with pytest.raises(ValueError, match="frames must be at least 1"):
+            experiment.fer_monte_carlo(4.0, frames)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from parastream import codec, data, ldpc, pipeline
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
+from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
+
+from helpers import send_conventional_oracle
 
 
 def desk_config(snr_db=10.0, semantic=True, q=50, seed=0):
@@ -70,6 +73,58 @@ class TestFraming:
 
     def test_zero_stream_passes_through(self):
         assert pipeline.power_gain(np.zeros(4, complex)) == 1.0
+
+    @pytest.mark.parametrize("symbols", [7, 1024, 512000])
+    def test_qpsk_streams_have_unit_gain_exactly(self, symbols):
+        # so normalizing a coded payload leaves its symbols and channel
+        # gains bit for bit as they were
+        bits = make_rng(symbols).integers(0, 2, size=2 * symbols)
+        assert pipeline.power_gain(qpsk_modulate(bits), 1.0) == 1.0
+
+
+class TestCodedLink:
+    @pytest.fixture(scope="class")
+    def sources(self):
+        images = data.make_corpus(2, 16, 41) + data.make_corpus(2, 32, 42)
+        return [pipeline.split_source(img, 50) for img in images]
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
+    @pytest.mark.parametrize("snr_db", [1.0, 4.0, 12.0])
+    @pytest.mark.parametrize("bp_iters", [3, 50])
+    def test_batch_matches_one_image_at_a_time(self, sources, kind, snr_db, bp_iters):
+        chan = ChannelConfig(kind=kind, snr_db=snr_db, block_len=16, seed=5)
+        cfg = pipeline.PipelineConfig(channel=chan, semantic=False, bp_iters=bp_iters)
+        pcm = pipeline.load_code(cfg.code)
+        blobs = [blob for _, _, _, blob in sources]
+        shapes = [x_ref.shape for x_ref, _, _, _ in sources]
+        trials = [6, 0, 11, 3]
+        batch = pipeline._send_conventional(blobs, shapes, cfg, pcm, trials)
+        assert len(batch) == len(blobs)
+        for got, blob, shape, trial in zip(batch, blobs, shapes, trials):
+            want = send_conventional_oracle(blob, shape, cfg, pcm, trial)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] is want[1]
+            assert got[2] == want[2]
+
+    def test_one_encoder_and_decoder_call_for_every_payload(self, monkeypatch):
+        calls = []
+        for name in ("ldpc_encode", "ldpc_decode_bp"):
+            original = getattr(ldpc, name)
+
+            def spy(pcm, rows, *args, _name=name, _fn=original, **kwargs):
+                calls.append((_name, rows.shape[0]))
+                return _fn(pcm, rows, *args, **kwargs)
+
+            monkeypatch.setattr(ldpc, name, spy)
+        pcm = pipeline.load_code()
+        chan = ChannelConfig(kind="awgn", snr_db=3.0, seed=2)
+        payloads = [
+            make_rng(i).integers(0, 2, size=(f, pcm.k)) for i, f in enumerate((2, 1, 3))
+        ]
+        out = pipeline.send_coded(payloads, chan, pcm, [4, 9, 1], 50)
+        assert calls == [("ldpc_encode", 6), ("ldpc_decode_bp", 6)]
+        assert [bits.shape for bits, _, _ in out] == [p.shape for p in payloads]
+        assert [ok.shape for _, ok, _ in out] == [(2,), (1,), (3,)]
 
 
 class TestSplitSource:

@@ -4,7 +4,7 @@ schedule."""
 import numpy as np
 import pytest
 
-from parastream import pipeline, rate, training
+from parastream import ldpc, pipeline, rate, training
 from parastream.autodiff import Tensor
 from parastream.channel import ChannelConfig, ChannelRealization, draw_realization
 from parastream.layers import frozen
@@ -397,6 +397,20 @@ class TestTrainLoop:
         model, _ = train(self._cfg(2, steps=2), toy_images(), model, toy_pipeline())
         assert len(set(trials)) == len(trials)
         assert len(trials) == (3 + 2) * 2 * 2
+
+    def test_one_decoder_call_per_step(self, monkeypatch):
+        # a step decodes the frames of its whole batch together
+        frames = []
+        original = ldpc.ldpc_decode_bp
+
+        def spy(pcm, llr, *args, **kwargs):
+            frames.append(llr.shape[0])
+            return original(pcm, llr, *args, **kwargs)
+
+        monkeypatch.setattr(ldpc, "ldpc_decode_bp", spy)
+        train(self._cfg(1, steps=3), toy_images(), toy_model(), toy_pipeline())
+        # three steps, each of two images that fit one frame apiece
+        assert frames == [2, 2, 2]
 
     def test_stage2_only_moves_the_banks(self):
         model = toy_model()
