@@ -6,6 +6,7 @@ randomness flows through counter-based generators keyed on
 any order. For a fading draw, gains are sampled before noise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must not be NaN")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError("power must be positive and finite")
         if self.block_len < 1:
             raise ValueError("block_len must be at least 1")
 

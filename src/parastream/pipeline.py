@@ -203,6 +203,7 @@ def _send_conventional(blobs, shapes, cfg, pcm, trials):
             "image_symbols": frames.shape[0] * (pcm.n // 2),
             "frames_converged": int(converged.sum()),
             "bp_iterations": int(iters.sum()),
+            "bp_iterations_per_frame": tuple(int(i) for i in iters),
         }
         try:
             x_c = codec.decompress(np.packbits(frames_to_bits(hard, pad)).tobytes())
@@ -301,6 +302,7 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         ),
         "frames_converged": seg["frames_converged"],
         "bp_iterations": seg["bp_iterations"],
+        "bp_iterations_per_frame": seg["bp_iterations_per_frame"],
         "frame_count": len(frame.frame_bits),
         "clamped_patches": clamped,
     }

@@ -172,6 +172,7 @@ def send_conventional_oracle(blob, shape, cfg, pcm, trial):
         "image_symbols": frames.shape[0] * (pcm.n // 2),
         "frames_converged": int(converged.sum()),
         "bp_iterations": int(iters.sum()),
+        "bp_iterations_per_frame": tuple(int(i) for i in iters),
     }
     corrupted = not bool(converged.all())
     try:

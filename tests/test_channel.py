@@ -60,6 +60,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="block_len"):
             channel.ChannelConfig(kind="rayleigh_block", block_len=0)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr_db must not be NaN"):
+            channel.ChannelConfig(snr_db=np.nan)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, 0.0, -1.0])
+    def test_power_must_be_positive_and_finite(self, power):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            channel.ChannelConfig(power=power)
+
+    @pytest.mark.parametrize("snr_db", [np.inf, -np.inf])
+    def test_infinite_snr_allowed(self, snr_db):
+        assert channel.ChannelConfig(snr_db=snr_db).snr_db == snr_db
+
 
 class TestTransmit:
     def test_noiseless_awgn_is_identity(self):

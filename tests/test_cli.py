@@ -141,6 +141,12 @@ class TestFecBenchCommand:
         assert rc == 0
         assert capsys.readouterr().out.startswith("snr_db=inf fer=0 ")
 
+    def test_nan_snr_fails_at_the_channel(self, capsys):
+        rc = cli.main(["fec-bench", "--snr", "nan", "--frames", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "snr_db must not be NaN" in err and "LLR" not in err
+
     def test_zero_frames_fails_cleanly(self, capsys):
         rc = cli.main(["fec-bench", "--frames", "0"])
         assert rc == 2

@@ -240,6 +240,10 @@ class TestFerMonteCarlo:
     def test_noiseless_channel_never_errs(self):
         assert experiment.fer_monte_carlo(np.inf, 20, seed=1) == 0.0
 
+    def test_nan_snr_rejected_before_decoding(self):
+        with pytest.raises(ValueError, match="snr_db must not be NaN"):
+            experiment.fer_monte_carlo(np.nan, 5)
+
     @pytest.mark.parametrize("frames", [0, -3])
     def test_needs_a_frame(self, frames):
         with pytest.raises(ValueError, match="frames must be at least 1"):

@@ -329,3 +329,49 @@ class TestDecodeMatchesOracle:
             np.testing.assert_array_equal(
                 ldpc.syndrome(pcm, bits.astype(bool)), syndrome_oracle(pcm, bits)
             )
+
+
+# on the desk code, frames at 4-10 dB converge after 0 to 50 iterations,
+# "clean" ones (30 dB) before the first, and frames at 2 dB or of
+# "noise" (LLRs unrelated to any codeword) not within 50
+_FRAME_KINDS = ("clean", 2.0, 4.0, 4.5, 5.0, 6.0, 8.0, 10.0, "noise")
+
+
+class TestBatchInvariance:
+    """A frame decodes the same alone and in any batch: compaction and
+    the deferred write of the hard decisions must not leak between
+    frames."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(_FRAME_KINDS), min_size=2, max_size=8),
+        max_iter=st.sampled_from([1, 4, 20, ldpc.MAX_ITER_DEFAULT]),
+    )
+    def test_mixed_batch_matches_each_frame_alone(self, desk_code, seed, kinds, max_iter):
+        pcm = desk_code
+        rng = make_rng(seed)
+        rows = []
+        for kind in kinds:
+            if kind == "noise":
+                rows.append(3.0 * rng.standard_normal(pcm.n))
+            else:
+                rows.append(_channel_llrs(pcm, rng, 1, 30.0 if kind == "clean" else kind)[0])
+        llr = np.stack(rows)
+        sent = llr.copy()
+
+        bits, converged, iters = ldpc.ldpc_decode_bp(pcm, llr, max_iter)
+        np.testing.assert_array_equal(llr, sent)
+        for i, row in enumerate(llr):
+            alone = ldpc.ldpc_decode_bp(pcm, row, max_iter)
+            np.testing.assert_array_equal(bits[i], alone[0])
+            assert (converged[i], iters[i]) == alone[1:]
+        want = ldpc_decode_bp_oracle(pcm, llr, max_iter)
+        for got, ref in zip((bits, converged, iters), want):
+            np.testing.assert_array_equal(got, ref)
+
+        bits0, converged0, iters0 = ldpc.ldpc_decode_bp(pcm, llr, 0)
+        np.testing.assert_array_equal(bits0, (llr < 0).astype(np.uint8))
+        np.testing.assert_array_equal(converged0, ~ldpc.syndrome(pcm, bits0).any(axis=1))
+        assert not iters0.any()
+        np.testing.assert_array_equal(llr, sent)

@@ -143,6 +143,12 @@ class TestSplitSource:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("semantic", [False, True])
+    def test_nan_snr_rejected_at_the_boundary(self, image, model, semantic):
+        with pytest.raises(ValueError, match="snr_db must not be NaN"):
+            cfg = desk_config(snr_db=math.nan, semantic=semantic)
+            pipeline.transmit_image(image, cfg, seed=0, model=model)
+
     def test_negative_loss_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             pipeline.PipelineConfig(lambda1=-0.1)
@@ -188,9 +194,12 @@ class TestConventionalOnly:
         cfg = desk_config(snr_db=30.0, semantic=False)
         _, frame, report = pipeline.transmit_image(image, cfg, seed=0)
         assert report["bp_iterations"] == 0
+        assert report["bp_iterations_per_frame"] == (0,) * len(frame.frame_bits)
         assert report["frames_converged"] == len(frame.frame_bits)
 
-    def test_bp_iterations_sum_the_decoder_counts(self, image, monkeypatch):
+    def test_bp_iterations_sum_the_decoder_counts(self, monkeypatch):
+        # 32 px sends two frames, so the per-frame counts are more than a sum
+        image = data.gradient_image(make_rng(7), 32)
         cfg = replace(desk_config(snr_db=1.0, semantic=False), bp_iters=3)
         calls = []
         decode = ldpc.ldpc_decode_bp
@@ -207,6 +216,10 @@ class TestConventionalOnly:
         _, _, direct = decode(pipeline.load_code(cfg.code), llr, max_iter=3)
         np.testing.assert_array_equal(iters, direct)
         assert report["bp_iterations"] == int(direct.sum()) > 0
+        per_frame = report["bp_iterations_per_frame"]
+        assert per_frame == tuple(direct.tolist())
+        assert len(per_frame) == report["frame_count"] == 2
+        assert all(type(i) is int for i in per_frame)
 
     def test_deep_noise_corrupts_and_degrades_gracefully(self, image):
         cfg = desk_config(snr_db=-5.0, semantic=False)
