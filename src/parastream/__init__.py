@@ -4,9 +4,12 @@ A conventional DCT codec + LDPC + QPSK chain runs next to a learned
 semantic stream whose per-patch rate follows a conditional entropy
 model; an SNR-conditioned aggregation network fuses both streams at the
 receiver. Everything is NumPy on a small reverse-mode autodiff core, so
-training and evaluation run deterministically from seeds.
+training and evaluation run deterministically from seeds. Importing
+the package pins NumPy's OpenBLAS to one thread (see blas.py), so the
+bytes do not depend on the BLAS thread count.
 """
 
+from .blas import pin_one_thread
 from .channel import ChannelConfig, transmit
 from .codec import compress, decompress
 from .data import make_corpus, read_ppm, write_ppm
@@ -20,6 +23,8 @@ from .pipeline import (
     transmit_image,
 )
 from .training import TrainConfig, load_model, save_model, train
+
+pin_one_thread()
 
 __version__ = "0.1.0"
 

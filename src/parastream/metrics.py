@@ -3,6 +3,7 @@ multi-scale SSIM with the standard window and scale weights."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,17 +37,33 @@ def _gaussian_window() -> np.ndarray:
 _G = _gaussian_window()
 
 
+@functools.lru_cache(maxsize=16)
+def _band(size: int) -> np.ndarray:
+    """[size, size - 10] read-only matrix whose column i holds the
+    window on rows i..i+10, so v @ _band(len(v)) is the 'valid'
+    correlation of v with the window."""
+    out = size - _WINDOW + 1
+    band = np.zeros((size, out))
+    cols = np.arange(out)
+    for k in range(_WINDOW):
+        band[cols + k, cols] = _G[k]
+    band.flags.writeable = False
+    return band
+
+
 def _filter_valid(planes: np.ndarray) -> np.ndarray:
-    """Separable Gaussian 'valid' filter of every trailing 2-D plane:
-    11 shifted taps along the rows, then along the columns, summed in
-    np.convolve's order."""
-    w = planes.shape[-1] - _WINDOW + 1
-    tmp = sum(planes[..., i : i + w] * _G[i] for i in range(_WINDOW))
-    h = planes.shape[-2] - _WINDOW + 1
-    return sum(tmp[..., i : i + h, :] * _G[i] for i in range(_WINDOW))
+    """Separable Gaussian 'valid' filter of every trailing 2-D plane: one
+    GEMM with a banded matrix along the rows of all planes, then one
+    batched matmul along the columns. BLAS orders the sums its own way,
+    so results agree with np.convolve to rounding, not bit for bit."""
+    h, w = planes.shape[-2:]
+    rows = planes.reshape(-1, w) @ _band(w)
+    return np.matmul(_band(h).T, rows.reshape(planes.shape[:-1] + (rows.shape[-1],)))
 
 
 def _luminance_contrast(x: np.ndarray, y: np.ndarray):
+    """Mean luminance and contrast-structure terms of each [..., H, W]
+    plane pair, all planes and their five moments filtered at once."""
     c1 = _K1**2
     c2 = _K2**2
     mx, my, xx, yy, xy = _filter_valid(np.stack([x, y, x * x, y * y, x * y]))
@@ -55,19 +72,20 @@ def _luminance_contrast(x: np.ndarray, y: np.ndarray):
     cov = xy - mx * my
     lum = (2.0 * mx * my + c1) / (mx * mx + my * my + c1)
     cs = (2.0 * cov + c2) / (vx + vy + c2)
-    return float(lum.mean()), float(cs.mean())
+    return lum.mean(axis=(-2, -1)), cs.mean(axis=(-2, -1))
 
 
-def _downsample(plane: np.ndarray) -> np.ndarray:
-    """2x2 mean pooling; odd dims are edge-padded first so a 161-pixel
-    side survives four halvings at the 11-pixel window (161 -> ... -> 11)."""
-    h, w = plane.shape
+def _downsample(planes: np.ndarray) -> np.ndarray:
+    """2x2 mean pooling of every trailing 2-D plane; odd dims are
+    edge-padded first so a 161-pixel side survives four halvings at the
+    11-pixel window (161 -> ... -> 11)."""
+    h, w = planes.shape[-2:]
     if h % 2:
-        plane = np.concatenate([plane, plane[-1:, :]], axis=0)
+        planes = np.concatenate([planes, planes[..., -1:, :]], axis=-2)
     if w % 2:
-        plane = np.concatenate([plane, plane[:, -1:]], axis=1)
-    h2, w2 = plane.shape[0] // 2, plane.shape[1] // 2
-    return plane.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+        planes = np.concatenate([planes, planes[..., -1:]], axis=-1)
+    h2, w2 = planes.shape[-2] // 2, planes.shape[-1] // 2
+    return planes.reshape(planes.shape[:-2] + (h2, 2, w2, 2)).mean(axis=(-3, -1))
 
 
 def _scale_count(h: int, w: int) -> int:
@@ -79,23 +97,23 @@ def _scale_count(h: int, w: int) -> int:
     return scales
 
 
-def _ms_ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
-    scales = _scale_count(*x.shape)
+def _ms_ssim_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """MS-SSIM of each [..., H, W] plane pair, all planes a scale at once."""
+    scales = _scale_count(*x.shape[-2:])
     if scales == 0:
         raise ValueError(
-            f"image {x.shape} smaller than the {_WINDOW}x{_WINDOW} window"
+            f"image {x.shape[-2:]} smaller than the {_WINDOW}x{_WINDOW} window"
         )
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
-    score = 1.0
+    score = np.ones(x.shape[:-2])
     for s in range(scales):
         lum, cs = _luminance_contrast(x, y)
         if s < scales - 1:
-            score *= max(cs, 0.0) ** weights[s]
-            x = _downsample(x)
-            y = _downsample(y)
+            score *= np.maximum(cs, 0.0) ** weights[s]
+            x, y = _downsample(np.stack([x, y]))
         else:
-            score *= max(lum * cs, 0.0) ** weights[s]
+            score *= np.maximum(lum * cs, 0.0) ** weights[s]
     return score
 
 
@@ -110,7 +128,5 @@ def ms_ssim(x: np.ndarray, xhat: np.ndarray) -> float:
     if x.ndim == 2:
         x = x[:, :, None]
         xhat = xhat[:, :, None]
-    values = [
-        _ms_ssim_plane(x[:, :, ch], xhat[:, :, ch]) for ch in range(x.shape[2])
-    ]
+    values = _ms_ssim_planes(x.transpose(2, 0, 1), xhat.transpose(2, 0, 1))
     return float(np.clip(np.mean(values), 0.0, 1.0))

@@ -239,16 +239,41 @@ def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
     return (vec + noise * inv_gain) * keep
 
 
+def validate_image(x) -> None:
+    """Raise ValueError unless x is an H x W x C image of a float dtype
+    whose values are all finite and in [0, 1]."""
+    x = np.asarray(x)
+    if x.ndim != 3 or 0 in x.shape:
+        raise ValueError(
+            f"image must be H x W x C with positive dims, got shape {x.shape}"
+        )
+    if not np.issubdtype(x.dtype, np.floating):
+        raise ValueError(
+            f"image must have a float dtype with values in [0, 1], got {x.dtype}"
+        )
+    if not np.isfinite(x).all():
+        raise ValueError("image values must be finite")
+    lo, hi = x.min(), x.max()
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError(
+            f"image values must lie in [0, 1], got min {lo:.6g} and max {hi:.6g}"
+        )
+
+
 def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     """One image through both branches.
 
     Returns (x_hat, frame, metrics). The conventional and semantic
     streams use channel trials 2*seed and 2*seed+1, so every call index
-    sees independent realizations of the same configured channel.
+    sees independent realizations of the same configured channel. An
+    image that is not H x W x C, of a float dtype, finite and in [0, 1]
+    raises ValueError before any work (DimensionError for a shape the
+    semantic branch cannot take).
     """
     if cfg.semantic:
         model = SemanticModel(cfg.model) if model is None else model
         model.encoder.check_image(np.shape(x))
+    validate_image(x)
     if pcm is None:
         pcm = load_code(cfg.code)
     x_ref, _, x_r, blob = split_source(x, cfg.q)

@@ -184,18 +184,21 @@ def send_conventional_oracle(blob, shape, cfg, pcm, trial):
     return x_c, corrupted, segments
 
 
-def ldpc_decode_bp_oracle(pcm, llr, max_iter=50):
+def ldpc_decode_bp_oracle(pcm, llr, max_iter=50, stall_abort=True):
     """Edge-list, log-domain sum-product decoder: the reference that
     ldpc.ldpc_decode_bp must match in bits, convergence and iterations.
-    Same flooding schedule, early stopping and tanh clip; the check-node
-    product is a sum of log magnitudes, gathered per row and per column
-    with reduceat."""
-    from parastream.ldpc import _TANH_CLIP
+    Same flooding schedule, early stopping, stall abort and tanh clip;
+    the check-node product is a sum of log magnitudes, gathered per row
+    and per column with reduceat. With stall_abort=False every frame
+    runs until it converges or reaches max_iter: the plain flooding
+    decoder."""
+    from parastream.ldpc import _TANH_CLIP, STALL_FRACTION, STALL_ITERS
 
     llr = np.asarray(llr, dtype=np.float64)
     single = llr.ndim == 1
     llr = np.atleast_2d(llr)
     frames = llr.shape[0]
+    m = pcm.n - pcm.k
     e_col = pcm.edge_col
     r_start = np.concatenate([[0], np.cumsum(np.bincount(pcm.edge_row))])[:-1]
     col_perm = np.argsort(e_col, kind="stable")
@@ -205,6 +208,10 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=50):
     converged = ~syndrome_oracle(pcm, bits).any(axis=1)
     iters = np.zeros(frames, dtype=np.int64)
     active = ~converged
+    # fewest unsatisfied checks seen per frame, and the iterations since
+    # that record was last broken
+    record = [None] * frames
+    stale = [0] * frames
 
     v2c = llr[:, e_col]
     iteration = 0
@@ -235,13 +242,23 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=50):
 
         hard = (total < 0.0).astype(np.uint8)
         bits[active] = hard
-        ok = ~syndrome_oracle(pcm, hard).any(axis=1)
-        indices = np.flatnonzero(active)[ok]
-        iters[indices] = iteration
-        converged[indices] = True
-        active[indices] = False
+        unsatisfied = syndrome_oracle(pcm, hard).sum(axis=1)
+        for frame, count in zip(np.flatnonzero(active), unsatisfied):
+            if record[frame] is None or count < record[frame]:
+                record[frame], stale[frame] = count, 0
+            else:
+                stale[frame] += 1
+            stalled = (
+                stall_abort
+                and stale[frame] >= STALL_ITERS
+                and record[frame] > STALL_FRACTION * m
+            )
+            if count == 0 or stalled:
+                converged[frame] = count == 0
+                iters[frame] = iteration
+                active[frame] = False
 
-    iters[~converged] = iteration
+    iters[active] = iteration
     if single:
         return bits[0], bool(converged[0]), int(iters[0])
     return bits, converged, iters

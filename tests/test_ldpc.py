@@ -375,3 +375,32 @@ class TestBatchInvariance:
         np.testing.assert_array_equal(converged0, ~ldpc.syndrome(pcm, bits0).any(axis=1))
         assert not iters0.any()
         np.testing.assert_array_equal(llr, sent)
+
+
+class TestStallAbort:
+    """The stall abort gives up only frames that flooding would not
+    decode either, and stops hopeless frames early."""
+
+    @pytest.mark.parametrize("snr_db", [4.0, 4.5, 5.0, 5.5])
+    def test_no_decodable_frame_given_up(self, desk_code, snr_db):
+        llr = _channel_llrs(desk_code, make_rng(int(10 * snr_db)), 500, snr_db)
+        flood = ldpc_decode_bp_oracle(desk_code, llr, stall_abort=False)
+        bits, converged, iters = ldpc.ldpc_decode_bp(desk_code, llr)
+        # every frame flooding decodes is decoded, at the same iteration
+        np.testing.assert_array_equal(converged, flood[1])
+        np.testing.assert_array_equal(bits[converged], flood[0][converged])
+        np.testing.assert_array_equal(iters[converged], flood[2][converged])
+
+    def test_pure_noise_stops_early(self, desk_code):
+        # LLRs unrelated to any codeword: the unsatisfied-check count
+        # hovers near half the checks and stops falling within a few
+        # iterations
+        llr = 3.0 * make_rng(21).standard_normal((8, desk_code.n))
+        bits, converged, iters = ldpc.ldpc_decode_bp(desk_code, llr)
+        assert not converged.any()
+        assert (iters <= 2 * ldpc.STALL_ITERS).all()
+        # a stalled frame keeps the hard decisions of the iteration it
+        # stopped at
+        for row, got, stop in zip(llr, bits, iters):
+            flood = ldpc_decode_bp_oracle(desk_code, row, int(stop), stall_abort=False)
+            np.testing.assert_array_equal(got, flood[0])

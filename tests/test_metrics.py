@@ -82,6 +82,30 @@ class TestMsSsim:
             metrics.ms_ssim(np.zeros((8, 8, 3)), np.zeros((8, 8, 3)))
 
 
+class TestChannelBatch:
+    """ms_ssim filters every channel of a scale in one pass. Its GEMMs
+    order sums as BLAS likes, so it matches a per-plane call and the
+    np.convolve filter within rtol 1e-12, not bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (45, 32), (161, 170)])
+    @pytest.mark.parametrize("channels", [None, 1, 2, 3])
+    def test_matches_per_plane_and_convolve(self, shape, channels, monkeypatch):
+        rng = make_rng(channels or 0)
+        full = shape if channels is None else shape + (channels,)
+        a = rng.uniform(0, 1, size=full)
+        b = np.clip(a + 0.1 * rng.standard_normal(full), 0, 1)
+        batched = metrics.ms_ssim(a, b)
+        planes = [(a, b)] if channels is None else [
+            (a[:, :, ch], b[:, :, ch]) for ch in range(channels)
+        ]
+        per_plane = np.mean([metrics.ms_ssim(x, y) for x, y in planes])
+        assert batched == pytest.approx(per_plane, rel=1e-12)
+        monkeypatch.setattr(metrics, "_filter_valid", filter_valid_oracle)
+        assert batched == pytest.approx(
+            np.mean([metrics.ms_ssim(x, y) for x, y in planes]), rel=1e-12
+        )
+
+
 class TestFilterOracle:
     """The shifted-slice Gaussian filter against np.convolve per row and
     per column, at rtol 1e-12."""

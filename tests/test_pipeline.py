@@ -149,6 +149,40 @@ class TestConfigValidation:
             cfg = desk_config(snr_db=math.nan, semantic=semantic)
             pipeline.transmit_image(image, cfg, seed=0, model=model)
 
+    @pytest.mark.parametrize("semantic", [False, True])
+    @pytest.mark.parametrize(
+        "make_bad, requirement",
+        [
+            (lambda x: np.round(255 * x).astype(np.uint8), "float dtype"),
+            (lambda x: x > 0.5, "float dtype"),
+            (lambda x: 2.0 * x, r"in \[0, 1\]"),
+            (lambda x: x - 0.5, r"in \[0, 1\]"),
+            (lambda x: np.where(x > 0.5, np.nan, x), "finite"),
+            (lambda x: np.where(x > 0.5, np.inf, x), "finite"),
+        ],
+    )
+    def test_bad_pixels_rejected_before_any_work(
+        self, image, model, monkeypatch, semantic, make_bad, requirement
+    ):
+        def no_work(*args):
+            raise AssertionError("the codec ran before the image check")
+
+        monkeypatch.setattr(pipeline, "split_source", no_work)
+        cfg = desk_config(snr_db=9.0, semantic=semantic)
+        with pytest.raises(ValueError, match=requirement):
+            pipeline.transmit_image(make_bad(image), cfg, seed=0, model=model)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3, 1), (0, 16, 3)])
+    def test_conventional_shape_rejected_before_any_work(self, shape, monkeypatch):
+        monkeypatch.setattr(pipeline, "split_source", None)
+        with pytest.raises(ValueError, match="H x W x C"):
+            pipeline.transmit_image(np.full(shape, 0.5), desk_config(semantic=False))
+
+    def test_float32_image_in_range_accepted(self, image):
+        cfg = desk_config(snr_db=9.0, semantic=False)
+        x_hat, _, report = pipeline.transmit_image(image.astype(np.float32), cfg)
+        assert x_hat.shape == image.shape and not report["corrupted"]
+
     def test_negative_loss_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             pipeline.PipelineConfig(lambda1=-0.1)
