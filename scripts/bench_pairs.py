@@ -9,8 +9,13 @@ its own checkout, with the side that goes first alternating from pair
 to pair. At the end it prints, for every end-to-end metric in
 BENCHMARK.json, the median and quartiles of each side, how many pairs
 the change won, and whether the gap between the medians exceeds the
-parent's interquartile range. Standard library only; run it from any
-directory of the repository.
+parent's interquartile range. Each pair's line also says whether the
+change's ``quality.digest`` (read from run.py's record line, the
+second-to-last line of its output) equals the parent's, so a refactor
+can show identical outputs with the tool that times it. The digest
+hashes the report's keys as well as its values, so it shows identity
+only while those keys are unchanged. Standard library only; run it from
+any directory of the repository.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ def export(ref: str, dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
-def run_once(checkout: pathlib.Path, args, seed: int) -> dict:
-    """End-to-end metric values of one ``perfbench/run.py`` run."""
+def run_once(checkout: pathlib.Path, args, seed: int):
+    """End-to-end metric values and the quality digest of one
+    ``perfbench/run.py`` run."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
         "--seed", str(seed), "--trace", "0",
@@ -56,10 +62,11 @@ def run_once(checkout: pathlib.Path, args, seed: int) -> dict:
     if out.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
                  f"{out.stderr}")
-    result = json.loads(out.stdout.splitlines()[-1])
+    record, result = map(json.loads, out.stdout.splitlines()[-2:])
     if not result["correct"] or result["failed"]:
         sys.exit(f"bench_pairs: run in {checkout} failed its checks: {result}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics, record["record"]["quality"]["digest"]
 
 
 def quartiles(values):
@@ -109,19 +116,26 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": export(args.parent, pathlib.Path(tmp) / "parent"), "change": ROOT}
         runs = {"parent": [], "change": []}
+        same = 0
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            digests = {}
             for side in order:
-                runs[side].append(run_once(sides[side], args, seed))
+                metrics, digests[side] = run_once(sides[side], args, seed)
+                runs[side].append(metrics)
             p50 = [runs[side][-1]["op_cpu_ms_p50"] for side in ("parent", "change")]
+            match = digests["parent"] == digests["change"]
+            same += match
             print(
                 f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-                f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}",
+                f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}, quality digest "
+                f"{'same' if match else 'differs'}",
                 flush=True,
             )
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent}, "
-          f"change working tree, seeds {args.seeds}")
+          f"change working tree, seeds {args.seeds}; quality digest same on "
+          f"{same}/{args.pairs} pairs")
     print(summary(spec["end_to_end"], runs))
 
 

@@ -102,17 +102,11 @@ class SemanticEncoder(Module):
         return y, r
 
 
-def image_to_tensor(img: np.ndarray) -> Tensor:
-    """[H,W,C] float image in [0,1] to a constant [1,C,H,W] Tensor."""
-    return Tensor(np.transpose(img, (2, 0, 1))[None])
-
-
 def batch_to_tensor(imgs) -> Tensor:
     """Sequence of [H,W,C] images to one [B,C,H,W] Tensor."""
     return Tensor(np.stack([np.transpose(i, (2, 0, 1)) for i in imgs]))
 
 
-def tensor_to_image(t) -> np.ndarray:
-    """[1,C,H,W] Tensor or array back to an [H,W,C] float image."""
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    return np.transpose(data[0], (1, 2, 0))
+def tensor_to_image(t: Tensor) -> np.ndarray:
+    """[1,C,H,W] Tensor back to an [H,W,C] float image."""
+    return np.transpose(t.data[0], (1, 2, 0))

@@ -8,7 +8,9 @@ symbol pairs. Both streams cross independently drawn channels at the
 configured SNR. The receiver fuses its (possibly corrupted)
 conventional reconstruction with the received features, weighting the
 two per pixel by SNR. Frame accounting charges every complex symbol of
-either stream plus the 5-bit-per-patch rate map.
+either stream plus the 5-bit-per-patch rate map. `semantic_forward` is
+the one semantic chain: `transmit_image` runs it as a batch of one and
+`training.training_forward` trains through it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import codec, ldpc, metrics, rate
 from .autodiff import Tensor
 from .channel import ChannelConfig, transmit
 from .decoder import LATENT_WIDTHS, UP_WIDTHS, SemanticDecoder
-from .encoder import DEFAULT_WIDTHS, SemanticEncoder, image_to_tensor, tensor_to_image
+from .encoder import DEFAULT_WIDTHS, SemanticEncoder, batch_to_tensor, tensor_to_image
 from .layers import Module, frozen
 from .modem import qpsk_modulate, qpsk_soft_demod
 from .rate import FactorizedPrior, HyperSynthesis, RateBanks
@@ -239,6 +242,39 @@ def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
     return (vec + noise * inv_gain) * keep
 
 
+def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, bypass=False):
+    """The semantic chain the receiver runs and training optimises.
+
+    Image i is encoded from (refs[i], residuals[i]); its features cross
+    `chan` at trial 2*keys[i]+1 and its rate map the 5-bit side-channel
+    packer, and the decoder fuses them with x_c_hats[i]. The quantizer
+    rounds, or adds U(-1/2,1/2) noise from `rng` (training). `bypass`
+    (training stage 1) sends the unquantized s at full dimension and
+    skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
+    r_tilde, mu, sigma and alloc (None on bypass).
+    """
+    s, r = model.encoder(batch_to_tensor(refs), batch_to_tensor(residuals))
+    mode = "test" if rng is None else "train"
+    s_tilde, r_tilde = (rate.quantize(t, mode, rng) for t in (s, r))
+    mu, sigma = model.hyper(r_tilde)
+    if bypass:
+        flat, alloc = s.reshape(len(keys), -1), None
+        sent = [flat[b] for b in range(len(keys))]
+    else:
+        alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
+        sent = model.banks.encode(s_tilde, alloc)
+    received = [send_analog(v, chan, 2 * t + 1) for v, t in zip(sent, keys)]
+    if bypass:
+        s_hat = ad.stack(received).reshape(s.data.shape)
+    else:
+        blobs = [rate.pack_rate_indices(idx) for idx in alloc.indices()]
+        rx_idx = np.stack([rate.unpack_rate_indices(blob, alloc.k_s) for blob in blobs])
+        rx_widths = np.asarray(alloc.rate_set)[rx_idx].reshape(alloc.alpha_bar.shape)
+        s_hat = model.banks.decode(received, rx_widths)
+    x_hat = model.decoder(batch_to_tensor(x_c_hats), s_hat, chan.snr_db)
+    return dict(x_hat=x_hat, s_tilde=s_tilde, r_tilde=r_tilde, mu=mu, sigma=sigma, alloc=alloc)
+
+
 def validate_image(x) -> None:
     """Raise ValueError unless x is an H x W x C image of a float dtype
     whose values are all finite and in [0, 1]."""
@@ -282,39 +318,21 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         [blob], [x_ref.shape], cfg, pcm, [2 * seed]
     )
 
+    x_hat, semantic_dims, k_s, clamped = x_c_hat, 0, 0, 0
     if cfg.semantic:
         with frozen(model.parameters()):
-            s, r = model.encoder(image_to_tensor(x_ref), image_to_tensor(x_r))
-            s_tilde = rate.quantize(s, "test")
-            r_tilde = rate.quantize(r, "test")
-            mu, sigma = model.hyper(r_tilde)
-            alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
-            sent = model.banks.encode(s_tilde, alloc)[0]
-            received = send_analog(sent, cfg.channel, 2 * seed + 1)
-            side_blob = rate.pack_rate_indices(alloc.indices()[0])
-            rx_idx = rate.unpack_rate_indices(side_blob, alloc.k_s)
-            rx_widths = np.asarray(rate.RATE_SET)[rx_idx].reshape(alloc.alpha_bar.shape)
-            s_hat = model.banks.decode([received], rx_widths)
-            x_hat = tensor_to_image(
-                model.decoder(image_to_tensor(x_c_hat), s_hat, cfg.channel.snr_db)
-            )
-        semantic_dims = int(alloc.totals()[0])
-        sem_symbols = -(-semantic_dims // 2)
-        side_bits = rate.SIDE_BITS_PER_PATCH * alloc.k_s
-        side_symbols = rate.side_channel_symbols(alloc.k_s)
-        clamped = alloc.clamped
-    else:
-        x_hat = x_c_hat
-        semantic_dims = sem_symbols = side_bits = side_symbols = clamped = 0
+            out = semantic_forward(model, [x_ref], [x_r], [x_c_hat], cfg.channel, [seed])
+        x_hat, alloc = tensor_to_image(out["x_hat"]), out["alloc"]
+        semantic_dims, k_s, clamped = int(alloc.totals()[0]), alloc.k_s, alloc.clamped
 
     frame = TransmissionFrame(
         frame_bits=seg["frame_bits"],
         pad_bits=seg["pad_bits"],
         image_symbols=seg["image_symbols"],
         semantic_dims=semantic_dims,
-        semantic_symbols=sem_symbols,
-        side_bits=side_bits,
-        side_symbols=side_symbols,
+        semantic_symbols=-(-semantic_dims // 2),
+        side_bits=rate.SIDE_BITS_PER_PATCH * k_s,
+        side_symbols=rate.side_channel_symbols(k_s),
         k=x_ref.size,
     )
     report = {

@@ -13,8 +13,8 @@ so the decoder sees genuinely corrupted reconstructions at low SNR.
 
 Each step sends its whole batch through one
 `pipeline._send_conventional` call (one LDPC encode and one BP decode
-over every frame) and each image's features through
-`pipeline.send_analog`, on per-image channel trials (see
+over every frame) and then through `pipeline.semantic_forward`, the
+chain `transmit_image` runs, on per-image channel trials (see
 `training_forward`) that never repeat within or across the stages.
 """
 
@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import rate
 from .encoder import batch_to_tensor
 from .layers import frozen
@@ -35,7 +34,7 @@ from .pipeline import (
     SemanticModel,
     _send_conventional,
     load_code,
-    send_analog,
+    semantic_forward,
     split_source,
 )
 from .rng import make_rng
@@ -59,6 +58,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in (1, 2, 3):
             raise ValueError(f"stage must be 1, 2, or 3, got {self.stage}")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
 
@@ -119,34 +121,18 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     `trial` is the index of the batch's first image within the stage;
     image i crosses the channel as t = 3 * (trial + i) + stage - 1, its
     conventional stream at channel trial 2t and its semantic stream at
-    2t + 1. Returns (loss, parts) where parts carries the tensors a
-    caller may inspect (x_hat, s_tilde, alloc when the banks are in the
-    loop).
+    2t + 1. Returns (loss, parts) where parts is semantic_forward's
+    dict: x_hat, s_tilde, r_tilde, mu, sigma, and alloc (None in stage 1).
     """
     chan = replace(pcfg.channel, snr_db=float(snr_db))
     keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
     refs, _, residuals, blobs = zip(*(split_source(img, pcfg.q) for img in images))
     shapes, cfg = [x.shape for x in refs], replace(pcfg, channel=chan)
     sent = _send_conventional(blobs, shapes, cfg, pcm, [2 * t for t in keys])
-    received_cond = [x_c_hat for x_c_hat, _, _ in sent]
-    x = batch_to_tensor(refs)
-    s, r = model.encoder(x, batch_to_tensor(residuals))
-    s_tilde = rate.quantize(s, "train", rng)
-    r_tilde = rate.quantize(r, "train", rng)
-    mu, sigma = model.hyper(r_tilde)
-    alloc = None
-    if stage == 1:
-        flat = s.reshape(len(keys), -1)
-        rows = [send_analog(flat[b], chan, 2 * t + 1) for b, t in enumerate(keys)]
-        s_hat = ad.stack(rows).reshape(s.data.shape)
-    else:
-        alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
-        encoded = model.banks.encode(s_tilde, alloc)
-        received = [send_analog(v, chan, 2 * t + 1) for v, t in zip(encoded, keys)]
-        s_hat = model.banks.decode(received, alloc.alpha_bar)
-    x_hat = model.decoder(batch_to_tensor(received_cond), s_hat, snr_db)
-    loss = rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, pcfg.lambda1)
-    return loss, {"x_hat": x_hat, "s_tilde": s_tilde, "alloc": alloc}
+    x_c_hats = [x_c_hat for x_c_hat, _, _ in sent]
+    parts = semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng, stage == 1)
+    loss_inputs = [parts[name] for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma")]
+    return rd_loss(batch_to_tensor(refs), *loss_inputs, model, pcfg.lambda1), parts
 
 
 def stage_parameters(model, stage):

@@ -1,6 +1,7 @@
 """Channel simulation: power normalization, noise statistics, fading."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_every_coded_crossing_goes_through_one_link():
     calls = ("ldpc_encode(", "ldpc_decode_bp(", "qpsk_modulate(", "qpsk_soft_demod(")
     for call in calls:
         sites = {name: text.count(call) for name, text in sources.items()}
+        assert {name: n for name, n in sites.items() if n} == {"pipeline.py": 1}, call
+
+
+def test_every_semantic_crossing_goes_through_one_chain():
+    # pipeline.semantic_forward is the only semantic chain; transmit and
+    # training both call it, so inference runs the chain that was trained
+    package = pathlib.Path(channel.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    calls = (
+        "model.encoder(", "model.hyper(", "banks.encode(", "banks.decode(",
+        "model.decoder(", "send_analog(",
+    )
+    for call in calls:
+        site = re.compile(r"(?<!def )" + re.escape(call))
+        sites = {name: len(site.findall(text)) for name, text in sources.items()}
         assert {name: n for name, n in sites.items() if n} == {"pipeline.py": 1}, call
 
 

@@ -126,6 +126,20 @@ class TestTrainCommand:
         assert rc == 2
         assert "per stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--steps", "0,1,1"], "steps"), (["--batch", "0"], "batch_size")],
+    )
+    def test_counts_below_one_fail_cleanly(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "m.npz"
+        rc = cli.main([
+            "train", "--out", str(out), "--size", "16", "--count", "2",
+            "--steps", "1,1,1", *flags,
+        ])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFecBenchCommand:
     def test_reports_fer_per_snr(self, capsys):

@@ -113,7 +113,7 @@ class TestEncoder:
 class TestImageConversion:
     def test_round_trip(self):
         img = make_rng(16).uniform(0, 1, (5, 7, 3))
-        t = encoder.image_to_tensor(img)
+        t = encoder.batch_to_tensor([img])
         assert t.data.shape == (1, 3, 5, 7)
         np.testing.assert_array_equal(encoder.tensor_to_image(t), img)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from parastream import codec, data, ldpc, pipeline
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
+from parastream.layers import frozen
 from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
 
@@ -262,6 +263,72 @@ class TestConventionalOnly:
         assert x_hat.shape == image.shape
         assert np.isfinite(x_hat).all()
         assert x_hat.min() >= 0.0 and x_hat.max() <= 1.0
+
+
+class TestSemanticForward:
+    """One batched pass of the semantic chain against batch-of-one calls.
+
+    Equality is to rtol 1e-12, not bit for bit: batched convs may sum in
+    another order, which moves the last bit of x_hat at 16 px.
+    """
+
+    @pytest.fixture(scope="class")
+    def loud_model(self):
+        # fresh weights round every feature to zero; doubled encoder
+        # weights leave features that survive the quantizer
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        for p in model.encoder.parameters():
+            p.data *= 2.0
+        return model
+
+    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_batch_matches_batches_of_one(self, loud_model, size, bypass):
+        images = data.make_corpus(count=3, size=size, seed=5)
+        refs, x_cs, residuals, _ = zip(*(pipeline.split_source(x, 50) for x in images))
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=6.0, block_len=4)
+        keys = [4, 9, 2]
+        with frozen(loud_model.parameters()):
+            batch = pipeline.semantic_forward(
+                loud_model, refs, residuals, x_cs, chan, keys, bypass=bypass
+            )
+            ones = [
+                pipeline.semantic_forward(
+                    loud_model, [ref], [res], [x_c], chan, [key], bypass=bypass
+                )
+                for ref, res, x_c, key in zip(refs, residuals, x_cs, keys)
+            ]
+        assert np.count_nonzero(batch["s_tilde"].data)
+        for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma"):
+            np.testing.assert_allclose(
+                batch[name].data,
+                np.concatenate([one[name].data for one in ones]),
+                rtol=1e-12,
+                err_msg=name,
+            )
+        if bypass:
+            assert batch["alloc"] is None
+        else:
+            np.testing.assert_array_equal(
+                batch["alloc"].alpha_bar,
+                np.concatenate([one["alloc"].alpha_bar for one in ones]),
+            )
+
+    def test_transmit_is_its_batch_of_one(self, loud_model):
+        x = data.make_corpus(count=1, size=16, seed=5)[0]
+        cfg = desk_config(snr_db=6.0)
+        x_hat, frame, _ = pipeline.transmit_image(x, cfg, seed=3, model=loud_model)
+        x_ref, _, x_r, blob = pipeline.split_source(x, cfg.q)
+        pcm = pipeline.load_code(cfg.code)
+        ((x_c_hat, _, _),) = pipeline._send_conventional(
+            [blob], [x_ref.shape], cfg, pcm, [6]
+        )
+        with frozen(loud_model.parameters()):
+            out = pipeline.semantic_forward(
+                loud_model, [x_ref], [x_r], [x_c_hat], cfg.channel, [3]
+            )
+        np.testing.assert_array_equal(x_hat, out["x_hat"].data[0].transpose(1, 2, 0))
+        assert frame.semantic_dims == int(out["alloc"].totals()[0])
 
 
 class TestFullPipeline:

@@ -161,6 +161,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(stage=1, lr=0.0)
 
+    @pytest.mark.parametrize("field", ["steps", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(stage=1, **{field: value})
+
 
 def expected_analog(vec, chan, trial):
     """vec plus the zero-forced noise of draw_realization, divided by
@@ -291,6 +297,25 @@ class TestTrainingForward:
         loss.backward()
         grads = [p.grad for p in model.ra_parameters()]
         assert any(g is not None and np.any(g) for g in grads)
+
+    def test_rate_map_crosses_the_side_channel_packer(self, monkeypatch):
+        packed = []
+        original = rate.pack_rate_indices
+
+        def spy(indices):
+            packed.append(np.asarray(indices).shape)
+            return original(indices)
+
+        monkeypatch.setattr(rate, "pack_rate_indices", spy)
+        pcfg = toy_pipeline()
+        images = toy_images(2)
+        for stage, expected in ((1, []), (2, [(2, 2)] * 2)):
+            packed.clear()
+            training_forward(
+                toy_model(), images, pcfg, 10.0, make_rng(9), stage,
+                load_code(pcfg.code), trial=0,
+            )
+            assert packed == expected
 
     def test_frozen_stage2_gives_identical_bank_gradients(self):
         # freezing everything but the banks only prunes the graph; the
