@@ -50,6 +50,8 @@ _KINDS = (gradient_image, checkerboard_image, blob_image)
 
 def make_corpus(count: int, size: int, seed: int) -> list[np.ndarray]:
     """Deterministic list of H x W x 3 images cycling through the kinds."""
+    if size < 1:
+        raise ValueError(f"image size must be at least 1, got size={size}")
     rng = make_rng(seed)
     return [_KINDS[i % len(_KINDS)](rng, size) for i in range(count)]
 

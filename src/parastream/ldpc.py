@@ -6,10 +6,15 @@ docs/base_matrices.md). An entry s >= 0 lifts to the Z x Z identity
 cyclically shifted by s, so a block acting on a length-Z vector x is
 np.roll(x, -s); an entry of -1 lifts to the zero block.
 
-The shipped tables use a dual-diagonal parity arrangement, which the
-encoder recognizes and solves in O(n) by forward substitution. Any
-other full-rank table falls back to a cached dense GF(2) solve of the
-parity submatrix.
+The encoder takes the syndrome of the information bits (the parity
+bits set to 0) through the slot table below, then solves the parity
+part of H for it (Richardson and Urbanke, "Efficient encoding of
+low-density parity-check codes", IEEE Trans. IT 2001). The shipped
+tables use a dual-diagonal parity arrangement, which the encoder
+recognizes and solves in O(n) by forward substitution. Any other
+full-rank table falls back to a cached GF(2) inverse of the parity
+part. One Gauss-Jordan routine, on rows packed into uint64 words,
+gives that inverse and the rank check of the lifted matrix.
 
 The decoder runs the flooding sum-product schedule on a dense slot
 table built once per code: slot j of check i reads column slot_col[j, i]
@@ -112,69 +117,37 @@ def load_base_table(name):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) helpers on rows packed into uint64 words
+# GF(2) elimination on rows packed into little-endian uint64 words
 
 
-def _pack_rows(dense):
+def _gf2_eliminate(dense):
+    """Gauss-Jordan elimination of a 0/1 matrix over GF(2).
+
+    Column c of a row is bit c % 64 of word c // 64. Returns the reduced
+    rows, still packed, and the pivot columns in order: the rank is
+    their count, and row i holds the only 1 of column pivots[i].
+    """
     rows, cols = dense.shape
-    words = (cols + 63) // 64
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :cols] = dense & 1
-    weights = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-    return (padded.reshape(rows, words, 64).astype(np.uint64) * weights).sum(
-        axis=2, dtype=np.uint64
-    )
-
-
-def _unpack_rows(packed, cols):
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (packed[:, :, None] >> shifts) & np.uint64(1)
-    return bits.reshape(packed.shape[0], -1)[:, :cols].astype(np.uint8)
-
-
-def _gf2_rank(dense):
-    mat = _pack_rows(dense)
-    rows, cols = dense.shape
-    rank = 0
+    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=np.uint8)
+    padded[:, :cols] = dense
+    mat = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    pivots = []
     for col in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         word, bit = divmod(col, 64)
-        column = (mat[rank:, word] >> np.uint64(bit)) & np.uint64(1)
-        hits = np.flatnonzero(column)
+        hot = (mat[:, word] >> np.uint64(bit)) & np.uint64(1)
+        hits = np.flatnonzero(hot[rank:])
         if hits.size == 0:
             continue
         pivot = rank + hits[0]
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        below = rank + 1 + np.flatnonzero(
-            (mat[rank + 1 :, word] >> np.uint64(bit)) & np.uint64(1)
-        )
-        mat[below] ^= mat[rank]
-        rank += 1
-    return rank
-
-
-def _gf2_inverse(square):
-    size = square.shape[0]
-    aug = np.concatenate([square, np.eye(size, dtype=np.uint8)], axis=1)
-    mat = _pack_rows(aug)
-    for col in range(size):
-        word, bit = divmod(col, 64)
-        hits = col + np.flatnonzero(
-            (mat[col:, word] >> np.uint64(bit)) & np.uint64(1)
-        )
-        if hits.size == 0:
-            raise LdpcError(
-                "parity submatrix is singular; no systematic encoding"
-            )
-        pivot = hits[0]
-        if pivot != col:
-            mat[[col, pivot]] = mat[[pivot, col]]
-        others = np.flatnonzero((mat[:, word] >> np.uint64(bit)) & np.uint64(1))
-        others = others[others != col]
-        mat[others] ^= mat[col]
-    return _unpack_rows(mat, 2 * size)[:, size:]
+        mat[[rank, pivot]] = mat[[pivot, rank]]
+        hot[[rank, pivot]] = hot[[pivot, rank]]
+        hot[rank] = 0
+        mat[hot.astype(bool)] ^= mat[rank]
+        pivots.append(col)
+    return mat, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +172,8 @@ class ParityCheckMatrix:
         return self.k / self.n
 
     def dense(self):
-        """Materialize H as a dense 0/1 matrix (tests and rank checks)."""
+        """Materialize H as a dense 0/1 matrix (tests, the rank check and
+        the dense parity solver)."""
         h = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
         h[self.edge_row, self.edge_col] = 1
         return h
@@ -290,7 +264,7 @@ def build_qc_ldpc(base, z):
         col_slots=col_slots,
         structured=_detect_dual_diagonal(base),
     )
-    if _gf2_rank(pcm.dense()) != m:
+    if len(_gf2_eliminate(pcm.dense())[1]) != m:
         raise LdpcError("expanded matrix is rank deficient")
     return pcm
 
@@ -319,63 +293,63 @@ def _parity(pcm, padded, gathered=None):
     return np.bitwise_xor.reduce(gathered, axis=0)
 
 
-def _encode_structured(pcm, info_bits):
+def _solve_dual_diagonal(pcm, lam):
+    """Parity bits [m, frames] of the dual-diagonal parity part from the
+    information syndrome `lam` [m, frames], by forward substitution over
+    the m_b parity blocks."""
     s0, interior = pcm.structured
     m_b = pcm.base.shape[0]
-    split = pcm.base.shape[1] - m_b
-    frames = info_bits.shape[0]
-    blocks = info_bits.reshape(frames, split, pcm.z)
-
-    lam = np.zeros((frames, m_b, pcm.z), dtype=np.uint8)
-    for r in range(m_b):
-        for c in range(split):
-            shift = pcm.base[r, c]
-            if shift >= 0:
-                lam[:, r] ^= np.roll(blocks[:, c], -shift, axis=1)
-
-    parity = np.zeros((frames, m_b, pcm.z), dtype=np.uint8)
-    p0 = np.bitwise_xor.reduce(lam, axis=1)
-    parity[:, 0] = p0
-    parity[:, 1] = lam[:, 0] ^ np.roll(p0, -s0, axis=1)
+    lam = lam.reshape(m_b, pcm.z, -1)
+    parity = np.empty_like(lam)
+    p0 = np.bitwise_xor.reduce(lam, axis=0)
+    parity[0] = p0
+    parity[1] = lam[0] ^ np.roll(p0, -s0, axis=0)
     for r in range(1, m_b - 1):
-        nxt = lam[:, r] ^ parity[:, r]
+        parity[r + 1] = lam[r] ^ parity[r]
         if r == interior:
-            nxt = nxt ^ p0
-        parity[:, r + 1] = nxt
-    return parity.reshape(frames, m_b * pcm.z)
+            parity[r + 1] ^= p0
+    return parity.reshape(m_b * pcm.z, -1)
 
 
-def _encode_generic(pcm, info_bits):
+def _solve_dense(pcm, lam):
+    """Parity bits [m, frames] from the information syndrome `lam`
+    through the cached GF(2) inverse of the parity part of H."""
     if pcm._parity_inv is None:
         m = pcm.n - pcm.k
-        sub = np.zeros((m, m), dtype=np.uint8)
-        sel = pcm.edge_col >= pcm.k
-        sub[pcm.edge_row[sel], pcm.edge_col[sel] - pcm.k] = 1
-        pcm._parity_inv = _gf2_inverse(sub)
-    padded = np.concatenate(
-        [info_bits, np.zeros((info_bits.shape[0], pcm.n - pcm.k), np.uint8)],
-        axis=1,
-    )
-    s = syndrome(pcm, padded)
-    return (s.astype(np.int64) @ pcm._parity_inv.T.astype(np.int64) % 2).astype(
-        np.uint8
-    )
+        aug = np.concatenate(
+            [pcm.dense()[:, pcm.k :], np.eye(m, dtype=np.uint8)], axis=1
+        )
+        reduced, pivots = _gf2_eliminate(aug)
+        if pivots[:m] != list(range(m)):
+            raise LdpcError("parity submatrix is singular; no systematic encoding")
+        bits = np.unpackbits(
+            reduced.view(np.uint8), axis=1, count=2 * m, bitorder="little"
+        )
+        pcm._parity_inv = bits[:, m:].astype(np.int64)
+    return (pcm._parity_inv @ lam % 2).astype(np.uint8)
 
 
 def ldpc_encode(pcm, info):
-    """Systematically encode info bits; [k] or [frames, k] accepted."""
+    """Systematically encode info bits; [k] or [frames, k] accepted.
+
+    The syndrome of the information part, one slot-table gather, goes to
+    the parity solver of the table: forward substitution on a
+    dual-diagonal parity part, the dense inverse otherwise.
+    """
     info = np.asarray(info)
     single = info.ndim == 1
-    info = np.atleast_2d(info).astype(np.uint8) & 1
+    info = np.atleast_2d(info)
     if info.shape[1] != pcm.k:
         raise LdpcError(f"expected {pcm.k} information bits, got {info.shape[1]}")
-    if pcm.structured is not None:
-        parity = _encode_structured(pcm, info)
-    else:
-        parity = _encode_generic(pcm, info)
-    code = np.concatenate([info, parity], axis=1)
+    # frames last; row n is the dummy column the pad slots read
+    padded = np.zeros((pcm.n + 1, info.shape[0]), dtype=np.uint8)
+    padded[: pcm.k] = info.T
+    padded[: pcm.k] &= 1
+    solve = _solve_dense if pcm.structured is None else _solve_dual_diagonal
+    padded[pcm.k : pcm.n] = solve(pcm, _parity(pcm, padded))
     if __debug__:
-        assert not syndrome(pcm, code).any(), "encoder produced a non-codeword"
+        assert not _parity(pcm, padded).any(), "encoder produced a non-codeword"
+    code = np.ascontiguousarray(padded[: pcm.n].T)
     return code[0] if single else code
 
 

@@ -92,13 +92,12 @@ class PipelineConfig:
     )
     model: ModelConfig = field(default_factory=ModelConfig)
     lambda1: float = 0.1
-    lambda2: float = 0.1
     semantic: bool = True
     bp_iters: int = 50
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if self.lambda1 < 0:
+            raise ValueError("loss weight lambda1 must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .pipeline import (
     load_code,
     semantic_forward,
     split_source,
+    validate_image,
 )
 from .rng import make_rng
 
@@ -48,11 +49,7 @@ class TrainConfig:
     steps: int = 200
     batch_size: int = 4
     lr: float = 1e-3
-    poly_power: float = 0.9
-    betas: tuple = (0.9, 0.999)
     snr_set: tuple = TRAIN_SNRS_DB
-    flip_h: bool = True
-    flip_v: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -123,7 +120,11 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     conventional stream at channel trial 2t and its semantic stream at
     2t + 1. Returns (loss, parts) where parts is semantic_forward's
     dict: x_hat, s_tilde, r_tilde, mu, sigma, and alloc (None in stage 1).
+    Every image passes the checks of transmit_image before any work.
     """
+    for img in images:
+        model.encoder.check_image(np.shape(img))
+        validate_image(img)
     chan = replace(pcfg.channel, snr_db=float(snr_db))
     keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
     refs, _, residuals, blobs = zip(*(split_source(img, pcfg.q) for img in images))
@@ -154,23 +155,25 @@ def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
             f"stage {cfg.stage} cannot follow stage {model.stage}; "
             "run stages in order"
         )
+    if len(dataset) == 0:
+        raise ValueError("the dataset is empty; training needs at least one image")
     pcm = load_code(pcfg.code)
     rng = make_rng(cfg.seed, cfg.stage)
-    opt = Adam(stage_parameters(model, cfg.stage), cfg.lr, betas=cfg.betas)
+    opt = Adam(stage_parameters(model, cfg.stage), cfg.lr)
     trainable = {id(p) for p in opt.params}
     model.zero_grad()
     history = []
     with frozen([p for p in model.parameters() if id(p) not in trainable]):
         for step in range(cfg.steps):
             if cfg.stage == 3:
-                opt.lr = poly_lr(cfg.lr, step, cfg.steps, cfg.poly_power)
+                opt.lr = poly_lr(cfg.lr, step, cfg.steps)
             batch_idx = rng.integers(0, len(dataset), size=cfg.batch_size)
             images = []
             for idx in batch_idx:
                 img = dataset[idx]
-                if cfg.flip_h and rng.integers(2):
+                if rng.integers(2):
                     img = img[:, ::-1]
-                if cfg.flip_v and rng.integers(2):
+                if rng.integers(2):
                     img = img[::-1]
                 images.append(np.ascontiguousarray(img))
             snr_db = float(rng.choice(cfg.snr_set))

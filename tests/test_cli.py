@@ -141,6 +141,25 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--size", "8"], "multiples of 16"),
+            (["--size", "0"], "size=0"),
+            (["--count", "0"], "dataset is empty"),
+        ],
+    )
+    def test_unusable_corpus_fails_cleanly(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "m.npz"
+        rc = cli.main([
+            "train", "--out", str(out), "--count", "2", "--steps", "1,1,1",
+            "--batch", "1", *flags,
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFecBenchCommand:
     def test_reports_fer_per_snr(self, capsys):
         rc = cli.main([

@@ -47,6 +47,12 @@ class TestGenerators:
         assert not np.array_equal(corpus[0], corpus[1])
 
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_corpus_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match=f"size={size}"):
+            data.make_corpus(2, size, 1)
+
+
 class TestPpm:
     def test_round_trip(self, tmp_path):
         img = data.blob_image(make_rng(8), 24)

@@ -1,5 +1,7 @@
 """QC-LDPC construction, encoding, and sum-product decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,43 @@ class TestEncode:
         code = ldpc.ldpc_encode(pcm, info)
         assert not ldpc.syndrome(pcm, code).any()
         np.testing.assert_array_equal(code[:, : pcm.k], info)
+
+    def test_singular_parity_part_rejected(self):
+        # full row rank, but both parity columns read [2, 1] in both rows
+        pcm = ldpc.build_qc_ldpc([[2, 0, 2, 1], [-1, 0, 2, 1]], 3)
+        assert pcm.structured is None
+        with pytest.raises(ldpc.LdpcError, match="singular"):
+            ldpc.ldpc_encode(pcm, np.zeros(pcm.k, np.uint8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from([DESK_TABLE, FULL_TABLE, "generic 4x4"]),
+        frames=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_batch_is_the_systematic_codeword(self, oracle_codes, name, frames, seed):
+        # the parity part of H is invertible, so info has exactly one
+        # codeword with it as prefix: these checks pin every bit
+        pcm = oracle_codes[name]
+        info = make_rng(seed).integers(0, 2, (frames, pcm.k)).astype(np.uint8)
+        code = ldpc.ldpc_encode(pcm, info)
+        assert code.shape == (frames, pcm.n) and code.dtype == np.uint8
+        np.testing.assert_array_equal(code[:, : pcm.k], info)
+        assert not syndrome_oracle(pcm, code).any()
+        alone = np.stack([ldpc.ldpc_encode(pcm, row) for row in info])
+        np.testing.assert_array_equal(code, alone)
+
+    def test_codewords_pinned(self, oracle_codes):
+        # digest of 64 desk and 8 full-scale codewords, recorded before the
+        # encoders moved onto the slot-table syndrome
+        digest = hashlib.sha256()
+        for name, frames in ((DESK_TABLE, 64), (FULL_TABLE, 8)):
+            pcm = oracle_codes[name]
+            info = make_rng(2024).integers(0, 2, (frames, pcm.k)).astype(np.uint8)
+            digest.update(ldpc.ldpc_encode(pcm, info).tobytes())
+        assert digest.hexdigest() == (
+            "100a154045821a14eba762a2aacfd586688e1944bbb47a4343f34f57ebbc9e58"
+        )
 
 
 _CACHED = {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parastream import ldpc, pipeline, rate, training
-from parastream.autodiff import Tensor
+from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig, ChannelRealization, draw_realization
 from parastream.layers import frozen
 from parastream.pipeline import PipelineConfig, load_code, power_gain, send_analog
@@ -285,6 +285,29 @@ class TestTrainingForward:
         assert parts["x_hat"].data.shape == (2, 3, 8, 8)
         assert parts["alloc"] is None
 
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (lambda img: img[:6, :6], DimensionError, "multiples of 4"),
+            (lambda img: img + 2.0, ValueError, r"\[0, 1\]"),
+            (lambda img: (img * 255).astype(np.uint8), ValueError, "float dtype"),
+        ],
+        ids=["shape", "range", "dtype"],
+    )
+    def test_images_are_checked_before_any_work(self, monkeypatch, bad, error, match):
+        # the checks of transmit_image, before the codec or the channel runs
+        def reached(*args):
+            raise AssertionError("split_source ran on an invalid image")
+
+        monkeypatch.setattr(training, "split_source", reached)
+        model, pcfg = toy_model(), toy_pipeline()
+        images = toy_images(2)
+        images[1] = bad(images[1])
+        with pytest.raises(error, match=match):
+            training_forward(
+                model, images, pcfg, 10.0, make_rng(9), 1, load_code(pcfg.code), trial=0
+            )
+
     def test_stage2_runs_the_banks(self):
         model = toy_model()
         pcfg = toy_pipeline()
@@ -398,6 +421,10 @@ class TestTrainLoop:
         model, _ = train(self._cfg(1), toy_images(), model, toy_pipeline())
         with pytest.raises(ValueError, match="run stages in order"):
             train(self._cfg(3), toy_images(), model, toy_pipeline())
+
+    def test_empty_dataset_rejected_before_a_batch(self):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            train(self._cfg(1), [], toy_model(), toy_pipeline())
 
     def test_history_has_one_loss_per_step(self):
         model = toy_model()
