@@ -19,13 +19,14 @@ Usage:
 import argparse
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from parastream import channel, ldpc, modem
+from parastream import experiment, ldpc
 from parastream.rng import make_rng
 
 ROWS, COLS = 4, 16
@@ -76,29 +77,13 @@ def search_base(z, seed, attempts=1000, tries_per_column=500):
     raise RuntimeError("no 4-cycle-free assignment found; try another seed")
 
 
-def probe_fer(pcm, esn0_db, frames, seed):
-    """Quick QPSK/AWGN Monte-Carlo frame error rate at one SNR point."""
-    rng = make_rng(seed, 1)
-    cfg = channel.ChannelConfig(kind="awgn", snr_db=esn0_db, seed=seed)
-    sigma2 = channel.snr_to_sigma2(esn0_db)
-    errors = 0
-    batch = 200
-    done = 0
-    trial = 0
-    while done < frames:
-        take = min(batch, frames - done)
-        info = rng.integers(0, 2, size=(take, pcm.k)).astype(np.uint8)
-        code = ldpc.ldpc_encode(pcm, info)
-        symbols = modem.qpsk_modulate(code)
-        for row in range(take):
-            received, real = channel.transmit(symbols[row], cfg, trial=trial)
-            trial += 1
-            llr = modem.qpsk_soft_demod(received, real.h, sigma2)
-            decoded, _, _ = ldpc.ldpc_decode_bp(pcm, llr)
-            if not np.array_equal(decoded[: pcm.k], info[row]):
-                errors += 1
-        done += take
-    return errors / frames
+def probe_fer(table_text, esn0_db, frames, seed):
+    """Frame error rate of the rendered table over the coded QPSK/AWGN
+    link of experiment.fer_monte_carlo at one SNR point."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_text(table_text, encoding="ascii")
+        return experiment.fer_monte_carlo(esn0_db, frames, seed=seed, code=str(path))
 
 
 def render_table(base, z, seed):
@@ -134,13 +119,14 @@ def main():
     assert not ldpc.syndrome(pcm, ldpc.ldpc_encode(pcm, info)).any()
     print("encoder syndrome check: ok (64 random frames)")
 
+    table = render_table(base, args.z, args.seed)
     if args.probe_frames > 0:
-        fer = probe_fer(pcm, 6.0, args.probe_frames, args.seed)
+        fer = probe_fer(table, 6.0, args.probe_frames, args.seed)
         print(f"FER probe at Es/N0 = 6 dB over {args.probe_frames} frames: {fer:.4g}")
         if fer >= 1e-2:
             raise SystemExit("probe FER too high; pick a different seed")
 
-    args.out.write_text(render_table(base, args.z, args.seed), encoding="ascii")
+    args.out.write_text(table, encoding="ascii")
     print(f"wrote {args.out}")
 
 

@@ -1,6 +1,8 @@
 """Wireless channel simulation shared by both transmit streams.
 
-Models z_hat = h * z + n with AWGN or block Rayleigh fading. All
+Models z_hat = h * z + n with AWGN or block Rayleigh fading. Every
+stream enters at unit average symbol power (pipeline.power_gain), so the
+SNR alone sets the noise power sigma2 = 10^(-snr_db / 10). All
 randomness flows through counter-based generators keyed on
 (seed, trial), so realizations are reproducible and trials can run in
 any order. For a fading draw, gains are sampled before noise.
@@ -20,7 +22,6 @@ KINDS = ("awgn", "rayleigh_block")
 class ChannelConfig:
     kind: str = "awgn"
     snr_db: float = 10.0
-    power: float = 1.0
     block_len: int = 1
     seed: int = 0
 
@@ -29,8 +30,6 @@ class ChannelConfig:
             raise ValueError(f"kind must be one of {KINDS}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError("power must be positive and finite")
         if self.block_len < 1:
             raise ValueError("block_len must be at least 1")
 
@@ -42,17 +41,15 @@ class ChannelRealization:
     sigma2: float
 
 
-def snr_to_sigma2(snr_db, power=1.0):
-    """Noise power sigma2 = power * 10^(-snr_db / 10)."""
-    if power <= 0:
-        raise ValueError("power must be positive")
-    return power * 10.0 ** (-snr_db / 10.0)
+def snr_to_sigma2(snr_db):
+    """Noise power sigma2 = 10^(-snr_db / 10) for unit symbol power."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def draw_realization(cfg, length, trial=0):
     """Sample gains and noise for `length` symbols at trial index `trial`."""
     rng = make_rng(cfg.seed, trial)
-    sigma2 = snr_to_sigma2(cfg.snr_db, cfg.power)
+    sigma2 = snr_to_sigma2(cfg.snr_db)
     if cfg.kind == "awgn":
         h = np.ones(length, dtype=np.complex128)
     else:
@@ -65,7 +62,7 @@ def draw_realization(cfg, length, trial=0):
 
 
 def transmit(z, cfg, trial=0):
-    """Pass power-normalized symbols through the configured channel."""
+    """Pass unit-power symbols through the configured channel."""
     z = np.asarray(z, dtype=np.complex128)
     real = draw_realization(cfg, z.shape[-1], trial)
     return real.h * z + real.n, real

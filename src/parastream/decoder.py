@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
+from .encoder import IMAGE_CHANNELS
 from .layers import (
     GDN,
     Conv2d,
@@ -149,14 +150,7 @@ class UpBlock(Module):
 
 
 class SemanticDecoder(Module):
-    def __init__(
-        self,
-        rng,
-        latent_widths=LATENT_WIDTHS,
-        up_widths=UP_WIDTHS,
-        growth=16,
-        c_in=3,
-    ):
+    def __init__(self, rng, latent_widths=LATENT_WIDTHS, up_widths=UP_WIDTHS, growth=16):
         super().__init__()
         levels = len(up_widths)
         if len(latent_widths) != levels + 1:
@@ -169,7 +163,7 @@ class SemanticDecoder(Module):
                 )
         self.latent_widths = tuple(latent_widths)
         self.up_widths = tuple(up_widths)
-        self.entry = Conv2d(c_in, latent_widths[0], 3, rng)
+        self.entry = Conv2d(IMAGE_CHANNELS, latent_widths[0], 3, rng)
         self.rrdb = RRDB(latent_widths[0], growth, rng)
         self.extractors = ModuleList(
             [

@@ -17,6 +17,7 @@ from .autodiff import DimensionError, Tensor
 from .layers import Conv2d, Module, ModuleList, leaky_relu
 
 DEFAULT_WIDTHS = (16, 32, 64, 32)
+IMAGE_CHANNELS = 3
 
 
 class Down(Module):
@@ -65,14 +66,14 @@ class Rem(Module):
 
 
 class SemanticEncoder(Module):
-    """N-module stack; widths[-1] is the semantic channel count C_s."""
+    """N-module stack over RGB images; widths[-1] is the semantic
+    channel count C_s."""
 
-    def __init__(self, rng, widths=DEFAULT_WIDTHS, c_in=3):
+    def __init__(self, rng, widths=DEFAULT_WIDTHS):
         super().__init__()
         self.widths = tuple(widths)
-        self.c_in = c_in
         rems = []
-        prev = c_in
+        prev = IMAGE_CHANNELS
         for i, width in enumerate(self.widths):
             rems.append(Rem(prev, width, rng, last=(i == len(self.widths) - 1)))
             prev = width
@@ -83,11 +84,11 @@ class SemanticEncoder(Module):
         return 2 ** len(self.widths)
 
     def check_image(self, shape):
-        """Raise DimensionError unless `shape` is an H x W x c_in image
-        with H and W multiples of the scale."""
-        if tuple(shape[2:]) != (self.c_in,) or any(n % self.scale for n in shape[:2]):
+        """Raise DimensionError unless `shape` is an H x W x 3 image with
+        H and W multiples of the scale."""
+        if tuple(shape[2:]) != (IMAGE_CHANNELS,) or any(n % self.scale for n in shape[:2]):
             raise DimensionError(
-                f"semantic input must be H x W x {self.c_in} with H and W "
+                f"semantic input must be H x W x {IMAGE_CHANNELS} with H and W "
                 f"multiples of {self.scale}, got {tuple(shape)}"
             )
 

@@ -116,23 +116,25 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=None, bias=True):
+    """Biased convolution, zero-padded by kernel // 2 on every side."""
+
+    def __init__(self, c_in, c_out, kernel, rng, stride=1):
         super().__init__()
         self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+        self.padding = kernel // 2
         fan = kernel * kernel
         self.weight = Tensor(
             glorot_uniform(rng, (c_out, c_in, kernel, kernel), c_in * fan, c_out * fan),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0, bias=True):
+    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0):
         super().__init__()
         self.stride = stride
         self.padding = padding
@@ -141,7 +143,7 @@ class ConvTranspose2d(Module):
             glorot_uniform(rng, (c_in, c_out, kernel, kernel), c_in * fan, c_out * fan),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv_transpose2d(
@@ -152,26 +154,23 @@ class ConvTranspose2d(Module):
 class Linear(Module):
     """Affine map on the trailing axis."""
 
-    def __init__(self, n_in, n_out, rng, bias=True):
+    def __init__(self, n_in, n_out, rng):
         super().__init__()
         self.weight = Tensor(
             glorot_uniform(rng, (n_in, n_out), n_in, n_out), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class Embedding(Module):
-    """Integer-index lookup table."""
+    """Integer-index lookup table, initialized from U(-0.1, 0.1)."""
 
-    def __init__(self, count, dim, rng, scale=0.1):
+    def __init__(self, count, dim, rng):
         super().__init__()
-        self.table = Tensor(rng.uniform(-scale, scale, size=(count, dim)), requires_grad=True)
+        self.table = Tensor(rng.uniform(-0.1, 0.1, size=(count, dim)), requires_grad=True)
 
     def __call__(self, index) -> Tensor:
         return self.table[np.asarray(index, dtype=np.intp)]
@@ -197,9 +196,9 @@ class GDN(Module):
 class PReLU(Module):
     """Per-channel parametric rectifier for [B,C,H,W] tensors."""
 
-    def __init__(self, channels, init=0.25):
+    def __init__(self, channels):
         super().__init__()
-        self.slope = Tensor(np.full(channels, init), requires_grad=True)
+        self.slope = Tensor(np.full(channels, 0.25), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         positive = ad.leaky_relu(x, 0.0)

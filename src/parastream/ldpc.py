@@ -313,7 +313,9 @@ def _solve_dual_diagonal(pcm, lam):
 
 def _solve_dense(pcm, lam):
     """Parity bits [m, frames] from the information syndrome `lam`
-    through the cached GF(2) inverse of the parity part of H."""
+    through the cached GF(2) inverse of the parity part of H. The inverse
+    is cached as float32 so the product runs through BLAS; every sum is
+    a count of at most m ones, exact in float32 while m < 2^24."""
     if pcm._parity_inv is None:
         m = pcm.n - pcm.k
         aug = np.concatenate(
@@ -325,8 +327,8 @@ def _solve_dense(pcm, lam):
         bits = np.unpackbits(
             reduced.view(np.uint8), axis=1, count=2 * m, bitorder="little"
         )
-        pcm._parity_inv = bits[:, m:].astype(np.int64)
-    return (pcm._parity_inv @ lam % 2).astype(np.uint8)
+        pcm._parity_inv = bits[:, m:].astype(np.float32)
+    return (pcm._parity_inv @ lam.astype(np.float32) % 2).astype(np.uint8)
 
 
 def ldpc_encode(pcm, info):

@@ -48,7 +48,6 @@ class ModelConfig:
     latent_widths: tuple = LATENT_WIDTHS
     up_widths: tuple = UP_WIDTHS
     growth: int = 16
-    hyper_hidden: int | None = None
     init_seed: int = 0
 
 
@@ -74,13 +73,9 @@ class SemanticModel(Module):
             up_widths=cfg.up_widths,
             growth=cfg.growth,
         )
-        self.hyper = HyperSynthesis(cfg.c_s, cfg.c_s, rng, hidden=cfg.hyper_hidden)
+        self.hyper = HyperSynthesis(cfg.c_s, cfg.c_s, rng)
         self.prior = FactorizedPrior(cfg.c_s, rng)
-        self.banks = RateBanks(cfg.c_s, rng)
-
-    def ra_parameters(self):
-        """Parameters of the rate-adaptation codec (banks and tokens)."""
-        return self.banks.parameters()
+        self.banks = RateBanks(cfg.c_s)
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,8 @@ class PipelineConfig:
     channel: ChannelConfig = field(
         default_factory=lambda: ChannelConfig(kind="awgn", snr_db=10.0)
     )
-    model: ModelConfig = field(default_factory=ModelConfig)
     lambda1: float = 0.1
     semantic: bool = True
-    bp_iters: int = 50
 
     def __post_init__(self):
         if self.lambda1 < 0:
@@ -146,13 +139,13 @@ def frames_to_bits(frames: np.ndarray, pad: int) -> np.ndarray:
     return flat[: flat.size - pad]
 
 
-def power_gain(z: np.ndarray, power: float = 1.0) -> float:
-    """Scale factor bringing z to average symbol power `power` (1.0 for
-    an empty or all-zero stream)."""
+def power_gain(z: np.ndarray) -> float:
+    """Scale factor bringing z to unit average symbol power (1.0 for an
+    empty or all-zero stream)."""
     energy = float(np.vdot(z, z).real)
     if energy == 0.0:
         return 1.0
-    return math.sqrt(power * z.size / energy)
+    return math.sqrt(z.size / energy)
 
 
 def split_source(x, q: int):
@@ -170,7 +163,7 @@ def split_source(x, q: int):
 def send_coded(payloads, chan: ChannelConfig, pcm, trials, bp_iters):
     """[frames, k] info-bit payloads through LDPC, QPSK and the channel.
 
-    Payload i is power-normalized, crosses `chan` at trials[i] and is
+    Payload i is scaled to unit power, crosses `chan` at trials[i] and is
     demapped on its own (at _NOISELESS_SIGMA2 if the channel has no
     noise), while one encoder and one decoder call cover every frame.
     Returns one (hard info bits, converged, iters) per payload, by frame.
@@ -180,7 +173,7 @@ def send_coded(payloads, chan: ChannelConfig, pcm, trials, bp_iters):
     llrs = []
     for words, trial in zip(np.split(code, bounds), trials):
         symbols = qpsk_modulate(words.reshape(-1))
-        gain = power_gain(symbols, chan.power)
+        gain = power_gain(symbols)
         y, real = transmit(gain * symbols, chan, trial)
         sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
         llrs.append(qpsk_soft_demod(y, gain * real.h, sigma2).reshape(words.shape))
@@ -196,7 +189,7 @@ def _send_conventional(blobs, shapes, cfg, pcm, trials):
     bits = [np.unpackbits(np.frombuffer(blob, dtype=np.uint8)) for blob in blobs]
     framed = [bits_to_frames(b, pcm.k) for b in bits]
     payloads = [frames for frames, _ in framed]
-    received = send_coded(payloads, cfg.channel, pcm, trials, cfg.bp_iters)
+    received = send_coded(payloads, cfg.channel, pcm, trials, ldpc.MAX_ITER_DEFAULT)
     out = []
     for (frames, pad), shape, (hard, converged, iters) in zip(framed, shapes, received):
         segments = {
@@ -221,7 +214,7 @@ def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
     """Analog transmission of one real feature vector, differentiable.
 
     Consecutive reals pair into complex symbols (odd tail zero-padded)
-    and the block is scaled to average power chan.power before it
+    and the block is scaled to unit average power before it
     crosses the channel at `trial`. The receiver zero-forces with the
     known gain and channel estimate, so each real arrives as itself
     plus the equalized noise n/h divided by the power gain; that gain
@@ -231,13 +224,13 @@ def send_analog(vec: Tensor, chan: ChannelConfig, trial: int) -> Tensor:
     length = vec.data.shape[0]
     reals = np.append(vec.data, np.zeros(length % 2))
     z = reals[0::2] + 1j * reals[1::2]
-    _, real = transmit(power_gain(z, chan.power) * z, chan, trial)
+    _, real = transmit(power_gain(z) * z, chan, trial)
     erased = real.h == 0
     zf = np.where(erased, 0.0, real.n / np.where(erased, 1.0, real.h))
     noise = Tensor(np.stack([zf.real, zf.imag], axis=-1).reshape(-1)[:length])
     keep = Tensor(np.repeat(~erased, 2)[:length].astype(np.float64))
     energy = (vec * vec).sum()
-    inv_gain = (energy / (chan.power * z.size)) ** 0.5 if energy.data else 1.0
+    inv_gain = (energy / z.size) ** 0.5 if energy.data else 1.0
     return (vec + noise * inv_gain) * keep
 
 
@@ -253,8 +246,7 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     r_tilde, mu, sigma and alloc (None on bypass).
     """
     s, r = model.encoder(batch_to_tensor(refs), batch_to_tensor(residuals))
-    mode = "test" if rng is None else "train"
-    s_tilde, r_tilde = (rate.quantize(t, mode, rng) for t in (s, r))
+    s_tilde, r_tilde = (rate.quantize(t, rng) for t in (s, r))
     mu, sigma = model.hyper(r_tilde)
     if bypass:
         flat, alloc = s.reshape(len(keys), -1), None
@@ -268,7 +260,7 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     else:
         blobs = [rate.pack_rate_indices(idx) for idx in alloc.indices()]
         rx_idx = np.stack([rate.unpack_rate_indices(blob, alloc.k_s) for blob in blobs])
-        rx_widths = np.asarray(alloc.rate_set)[rx_idx].reshape(alloc.alpha_bar.shape)
+        rx_widths = model.banks.widths[rx_idx].reshape(alloc.alpha_bar.shape)
         s_hat = model.banks.decode(received, rx_widths)
     x_hat = model.decoder(batch_to_tensor(x_c_hats), s_hat, chan.snr_db)
     return dict(x_hat=x_hat, s_tilde=s_tilde, r_tilde=r_tilde, mu=mu, sigma=sigma, alloc=alloc)
@@ -306,7 +298,7 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     semantic branch cannot take).
     """
     if cfg.semantic:
-        model = SemanticModel(cfg.model) if model is None else model
+        model = SemanticModel(ModelConfig()) if model is None else model
         model.encoder.check_image(np.shape(x))
     validate_image(x)
     if pcm is None:

@@ -2,10 +2,12 @@
 
 The residual hyperprior r parameterizes a Gaussian entropy model for
 the quantized semantic features s. Per-patch entropies (one patch = one
-spatial position, all channels) are ceiled into a discrete rate set W,
-and paired per-rate FC banks stretch or shrink each patch vector to its
-allotted dimension. CBR accounting converts real dimensions to complex
-symbols and charges a 5-bit-per-patch side channel for the rate map.
+spatial position, all channels), scaled by RHO = 0.2, are ceiled into
+the rate set W = RATE_SET = {4, 8, ..., 128}, and paired per-rate FC
+banks stretch or shrink each patch vector to its allotted dimension.
+The quantizer adds uniform noise in training and rounds otherwise. CBR
+accounting converts real dimensions to complex symbols and charges a
+5-bit-per-patch side channel for the rate map.
 
 All log quantities are base 2 (bits).
 """
@@ -30,17 +32,14 @@ _INV_LN2 = 1.0 / math.log(2.0)
 _INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
 
-def quantize(t: Tensor, mode: str, rng=None) -> Tensor:
-    """Additive U(-1/2,1/2) noise in train mode; round-half-away-from-zero
-    (as a detached offset, so graphs stay connected) in test mode."""
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode quantization needs an rng")
+def quantize(t: Tensor, rng=None) -> Tensor:
+    """Additive U(-1/2,1/2) noise drawn from `rng` (training); without
+    an rng, round-half-away-from-zero (as a detached offset, so graphs
+    stay connected)."""
+    if rng is not None:
         return t + Tensor(rng.uniform(-0.5, 0.5, size=t.data.shape))
-    if mode == "test":
-        rounded = np.copysign(np.floor(np.abs(t.data) + 0.5), t.data)
-        return t + Tensor(rounded - t.data)
-    raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
+    rounded = np.copysign(np.floor(np.abs(t.data) + 0.5), t.data)
+    return t + Tensor(rounded - t.data)
 
 
 def _clamp_min(t: Tensor, floor: float) -> Tensor:
@@ -60,13 +59,13 @@ def likelihood(s_tilde: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
 
 
 class HyperSynthesis(Module):
-    """conv - LeakyReLU - conv mapping r̃ to (mu, sigma) for s̃."""
+    """conv - LeakyReLU - conv mapping r̃ to (mu, sigma) for s̃; the
+    hidden layer is as wide as r̃."""
 
-    def __init__(self, c_r, c_s, rng, hidden=None):
+    def __init__(self, c_r, c_s, rng):
         super().__init__()
-        hidden = c_r if hidden is None else hidden
-        self.conv1 = Conv2d(c_r, hidden, 3, rng)
-        self.conv2 = Conv2d(hidden, 2 * c_s, 3, rng)
+        self.conv1 = Conv2d(c_r, c_r, 3, rng)
+        self.conv2 = Conv2d(c_r, 2 * c_s, 3, rng)
         self.c_s = c_s
 
     def __call__(self, r_tilde: Tensor):
@@ -134,7 +133,6 @@ class RateAllocation:
     alpha: np.ndarray
     alpha_bar: np.ndarray
     clamped: int
-    rate_set: tuple
 
     @property
     def k_s(self):
@@ -145,25 +143,23 @@ class RateAllocation:
         return self.alpha_bar.sum(axis=(1, 2))
 
     def indices(self):
-        """alpha_bar as indices into the rate set, [B,H,W]."""
-        return np.searchsorted(self.rate_set, self.alpha_bar)
+        """alpha_bar as indices into W, [B,H,W]."""
+        return np.searchsorted(RATE_SET, self.alpha_bar)
 
 
-def allocate_rates(p_s, rho=RHO, rate_set=RATE_SET) -> RateAllocation:
-    """Ceiling allocation: alpha_i = -rho * sum_channels log2 p; the patch
-    rate is the smallest w in the set with w >= alpha_i, clamped at the
-    largest w (clamp occurrences counted, not raised)."""
+def allocate_rates(p_s) -> RateAllocation:
+    """Ceiling allocation: alpha_i = -RHO * sum_channels log2 p; the patch
+    rate is the smallest w in W with w >= alpha_i, clamped at the largest
+    w (clamp occurrences counted, not raised)."""
     p = p_s.data if isinstance(p_s, Tensor) else np.asarray(p_s)
-    rates = np.asarray(rate_set)
+    rates = np.asarray(RATE_SET)
     if p.ndim != 4:
         raise ValueError("expected likelihoods shaped [B,C,H,W]")
-    alpha = -rho * np.log2(p).sum(axis=1)
+    alpha = -RHO * np.log2(p).sum(axis=1)
     idx = np.searchsorted(rates, alpha, side="left")
     clamped = int((idx == len(rates)).sum())
     alpha_bar = rates[np.minimum(idx, len(rates) - 1)]
-    return RateAllocation(
-        alpha=alpha, alpha_bar=alpha_bar, clamped=clamped, rate_set=tuple(rate_set)
-    )
+    return RateAllocation(alpha=alpha, alpha_bar=alpha_bar, clamped=clamped)
 
 
 class RateBanks(Module):
@@ -175,10 +171,10 @@ class RateBanks(Module):
     columns starts[r]:starts[r]+W[r] of enc_weight [C, sum(W)] and
     enc_bias, the same rows of dec_weight, and dec_bias[r]. Banks start
     as truncated identities, so the square case is a perfect round
-    trip; tokens start at zero. Nothing is drawn from `rng`.
+    trip; tokens start at zero.
     """
 
-    def __init__(self, c_s, rng, rate_set=RATE_SET):
+    def __init__(self, c_s, rate_set=RATE_SET):
         super().__init__()
         self.c_s = c_s
         self.widths = np.asarray(rate_set)

@@ -3,13 +3,14 @@
 Stage 1 trains everything except the rate banks, sending the semantic
 features across the channel analog at full dimension. Stage 2 freezes
 those weights and trains only the banks and rate tokens through the
-full variable-rate path. Stage 3 fine-tunes all parameters under a
-polynomial learning-rate decay. A stage runs inside `layers.frozen`
-over the parameters it does not train, so stage 2 backpropagates only
-into the banks (via the decoder's inputs, never its weights) and
-frozen parameters keep no grad. Every batch samples one SNR from the
-training set and runs the conventional branch for real (no gradients),
-so the decoder sees genuinely corrupted reconstructions at low SNR.
+full variable-rate path. Stage 3 fine-tunes all parameters under the
+decay lr * (1 - step/steps)^0.9. Adam runs at betas (0.9, 0.999) and
+eps 1e-8. A stage runs inside `layers.frozen` over the parameters it
+does not train, so stage 2 backpropagates only into the banks (via the
+decoder's inputs, never its weights) and frozen parameters keep no
+grad. Every batch samples one SNR from the training set and runs the
+conventional branch for real (no gradients), so the decoder sees
+genuinely corrupted reconstructions at low SNR.
 
 Each step sends its whole batch through one
 `pipeline._send_conventional` call (one LDPC encode and one BP decode
@@ -21,7 +22,7 @@ chain `transmit_image` runs, on per-image channel trials (see
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -65,11 +66,11 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; lr is mutable for schedules."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self._work = np.empty(2 * max((p.data.size for p in self.params), default=0))
@@ -97,9 +98,9 @@ class Adam:
             p.data -= np.divide(num, den, out=num)
 
 
-def poly_lr(base: float, step: int, total: int, power: float = 0.9) -> float:
-    """base * (1 - step/total)^power; zero at the final boundary."""
-    return base * (1.0 - step / total) ** power
+def poly_lr(base: float, step: int, total: int) -> float:
+    """base * (1 - step/total)^0.9; zero at the final boundary."""
+    return base * (1.0 - step / total) ** 0.9
 
 
 def rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, lambda1):
@@ -139,7 +140,7 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
 def stage_parameters(model, stage):
     if stage == 3:
         return model.parameters()
-    ra = {id(p) for p in model.ra_parameters()}
+    ra = {id(p) for p in model.banks.parameters()}
     return [p for p in model.parameters() if (id(p) in ra) == (stage == 2)]
 
 
@@ -204,14 +205,27 @@ def save_model(path, model, history=()):
 
 def load_model(path):
     """Rebuild a model from :func:`save_model` output. Returns
-    (model, history)."""
-    blob = np.load(path, allow_pickle=False)
-    raw = json.loads(str(blob["__config__"]))
-    for key, value in raw.items():
-        if isinstance(value, list):
-            raw[key] = tuple(value)
-    model = SemanticModel(ModelConfig(**raw))
-    state = {name: blob[name] for name in blob.files if not name.startswith("__")}
+    (model, history). A file that is not such a checkpoint, names a
+    config key ModelConfig does not have or misses a parameter raises
+    ValueError naming the problem."""
+    with open(path, "rb") as fh:
+        blob = np.load(fh, allow_pickle=False)
+        entries = {name: blob[name] for name in getattr(blob, "files", ())}
+    absent = [k for k in ("__config__", "__stage__", "__history__") if k not in entries]
+    if absent:
+        raise ValueError(f"{path}: not a model checkpoint, no {', '.join(absent)} entry")
+    raw = json.loads(str(entries["__config__"]))
+    # checkpoints saved while the hyperprior width was a field hold it as null
+    raw = {k: v for k, v in raw.items() if (k, v) != ("hyper_hidden", None)}
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown model config keys {unknown}")
+    cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    model = SemanticModel(cfg)
+    state = {name: value for name, value in entries.items() if not name.startswith("__")}
+    missing = sorted({name for name, _ in model.named_parameters()} - set(state))
+    if missing:
+        raise ValueError(f"{path}: checkpoint misses parameters {missing[:4]}")
     model.load_state_dict(state)
-    model.stage = int(blob["__stage__"])
-    return model, list(blob["__history__"])
+    model.stage = int(entries["__stage__"])
+    return model, list(entries["__history__"])

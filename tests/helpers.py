@@ -157,12 +157,12 @@ def send_conventional_oracle(blob, shape, cfg, pcm, trial):
     frames, pad = bits_to_frames(bits, pcm.k)
     code = ldpc.ldpc_encode(pcm, frames)
     symbols = qpsk_modulate(code.reshape(-1))
-    gain = power_gain(symbols, cfg.channel.power)
+    gain = power_gain(symbols)
     y, real = transmit(gain * symbols, cfg.channel, trial)
     sigma2 = real.sigma2 if real.sigma2 > 0 else _NOISELESS_SIGMA2
     llr = qpsk_soft_demod(y, gain * real.h, sigma2)
     hard, converged, iters = ldpc.ldpc_decode_bp(
-        pcm, llr.reshape(code.shape), max_iter=cfg.bp_iters
+        pcm, llr.reshape(code.shape), max_iter=ldpc.MAX_ITER_DEFAULT
     )
     payload = np.packbits(frames_to_bits(hard[:, : pcm.k], pad)).tobytes()
     frame_bits = (pcm.k,) * (frames.shape[0] - 1) + (pcm.k - pad,)

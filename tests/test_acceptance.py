@@ -186,7 +186,7 @@ def _gradient_battery(rng):
         )
     )
 
-    banks = RateBanks(3, rng, rate_set=(4, 8))
+    banks = RateBanks(3, rate_set=(4, 8))
     sb = _leaf(rng, (1, 3, 1, 2))
     # patch 0 stays at the smallest rate, patch 1 ceilings into the next one
     probs = np.stack([np.full(3, 0.5), np.full(3, 2.0 ** -10.0)], axis=-1)

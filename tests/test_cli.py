@@ -71,6 +71,20 @@ class TestTransmitCommand:
         ])
         assert rc == 0
 
+    def test_bad_checkpoint_fails_cleanly(self, ppm, tmp_path, capsys):
+        # each way a checkpoint can be bad is in test_training.py
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, weights=np.zeros(3))
+        out = tmp_path / "rx.ppm"
+        rc = cli.main([
+            "transmit", "--image", str(ppm), "--out", str(out), "--snr", "10",
+            "--model", str(bad),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not a model checkpoint")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_template_prints_parseable_config(self, capsys):

@@ -148,15 +148,17 @@ class TestEncode:
         with pytest.raises(ldpc.LdpcError, match="information bits"):
             ldpc.ldpc_encode(desk_code, np.zeros(10, np.uint8))
 
-    def test_generic_fallback_matches_structured(self, desk_code):
-        info = make_rng(3).integers(0, 2, (4, desk_code.k)).astype(np.uint8)
-        expected = ldpc.ldpc_encode(desk_code, info)
-        base, z = ldpc.load_base_table(DESK_TABLE)
-        unstructured = ldpc.build_qc_ldpc(base, z)
-        unstructured.structured = None
-        np.testing.assert_array_equal(
-            ldpc.ldpc_encode(unstructured, info), expected
-        )
+    def test_generic_fallback_matches_structured(self):
+        # z384 has m = 1536 checks, the largest sums the float32 inverse takes
+        for name in (DESK_TABLE, FULL_TABLE):
+            base, z = ldpc.load_base_table(name)
+            structured = ldpc.build_qc_ldpc(base, z)
+            info = make_rng(3).integers(0, 2, (32, structured.k)).astype(np.uint8)
+            unstructured = ldpc.build_qc_ldpc(base, z)
+            unstructured.structured = None
+            np.testing.assert_array_equal(
+                ldpc.ldpc_encode(unstructured, info), ldpc.ldpc_encode(structured, info)
+            )
 
     def test_generic_path_on_small_code(self):
         pcm = ldpc.build_qc_ldpc([[0, 0, 1, -1], [2, 0, -1, 0]], 4)

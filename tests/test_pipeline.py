@@ -1,7 +1,7 @@
 """Both branches end to end: framing, accounting, degradation paths."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from parastream.channel import ChannelConfig
 from parastream.layers import frozen
 from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
+from parastream.training import TrainConfig
 
 from helpers import send_conventional_oracle
 
@@ -66,11 +67,8 @@ class TestFraming:
     def test_power_gain_normalizes(self):
         reals = make_rng(3).standard_normal(40) * 3.7
         z = reals[0::2] + 1j * reals[1::2]
-        for power in (0.5, 1.0, 3.0):
-            scaled = pipeline.power_gain(z, power) * z
-            assert np.vdot(scaled, scaled).real / scaled.size == pytest.approx(
-                power, rel=1e-12
-            )
+        scaled = pipeline.power_gain(z) * z
+        assert np.vdot(scaled, scaled).real / scaled.size == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_stream_passes_through(self):
         assert pipeline.power_gain(np.zeros(4, complex)) == 1.0
@@ -80,7 +78,7 @@ class TestFraming:
         # so normalizing a coded payload leaves its symbols and channel
         # gains bit for bit as they were
         bits = make_rng(symbols).integers(0, 2, size=2 * symbols)
-        assert pipeline.power_gain(qpsk_modulate(bits), 1.0) == 1.0
+        assert pipeline.power_gain(qpsk_modulate(bits)) == 1.0
 
 
 class TestCodedLink:
@@ -92,9 +90,12 @@ class TestCodedLink:
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh_block"])
     @pytest.mark.parametrize("snr_db", [1.0, 4.0, 12.0])
     @pytest.mark.parametrize("bp_iters", [3, 50])
-    def test_batch_matches_one_image_at_a_time(self, sources, kind, snr_db, bp_iters):
+    def test_batch_matches_one_image_at_a_time(
+        self, sources, kind, snr_db, bp_iters, monkeypatch
+    ):
+        monkeypatch.setattr(ldpc, "MAX_ITER_DEFAULT", bp_iters)
         chan = ChannelConfig(kind=kind, snr_db=snr_db, block_len=16, seed=5)
-        cfg = pipeline.PipelineConfig(channel=chan, semantic=False, bp_iters=bp_iters)
+        cfg = pipeline.PipelineConfig(channel=chan, semantic=False)
         pcm = pipeline.load_code(cfg.code)
         blobs = [blob for _, _, _, blob in sources]
         shapes = [x_ref.shape for x_ref, _, _, _ in sources]
@@ -188,6 +189,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pipeline.PipelineConfig(lambda1=-0.1)
 
+    def test_config_fields_are_pinned(self):
+        # each field is an option tests and the benchmark must cover, so
+        # adding one changes this list on purpose
+        names = {
+            cls: tuple(f.name for f in fields(cls))
+            for cls in (ChannelConfig, pipeline.ModelConfig, pipeline.PipelineConfig, TrainConfig)
+        }
+        assert names == {
+            ChannelConfig: ("kind", "snr_db", "block_len", "seed"),
+            pipeline.ModelConfig: (
+                "c_s", "encoder_widths", "latent_widths", "up_widths", "growth", "init_seed"
+            ),
+            pipeline.PipelineConfig: ("q", "code", "channel", "lambda1", "semantic"),
+            TrainConfig: ("stage", "steps", "batch_size", "lr", "snr_set", "seed"),
+        }
+
     def test_model_width_contracts(self):
         with pytest.raises(ValueError, match="c_s"):
             pipeline.SemanticModel(pipeline.ModelConfig(c_s=16))
@@ -235,7 +252,8 @@ class TestConventionalOnly:
     def test_bp_iterations_sum_the_decoder_counts(self, monkeypatch):
         # 32 px sends two frames, so the per-frame counts are more than a sum
         image = data.gradient_image(make_rng(7), 32)
-        cfg = replace(desk_config(snr_db=1.0, semantic=False), bp_iters=3)
+        monkeypatch.setattr(ldpc, "MAX_ITER_DEFAULT", 3)
+        cfg = desk_config(snr_db=1.0, semantic=False)
         calls = []
         decode = ldpc.ldpc_decode_bp
 
@@ -365,7 +383,7 @@ class TestFullPipeline:
         assert len(recorded) == 2
         for z in recorded:
             power = np.vdot(z, z).real / z.size
-            assert abs(power - cfg.channel.power) < 1e-9
+            assert abs(power - 1.0) < 1e-9
 
     def test_zero_semantic_payload_passes_through(self, image, model, monkeypatch):
         recorded = []

@@ -27,30 +27,23 @@ SIGMA_HALF = 0.5 / special.ndtri(0.75)
 class TestQuantize:
     def test_rounds_half_away_from_zero(self):
         t = Tensor(np.array([2.4, 2.5, -2.5, 0.5, -0.5, 1.5, -2.4, 0.0]))
-        out = rate.quantize(t, "test")
+        out = rate.quantize(t)
         np.testing.assert_array_equal(
             out.data, [2.0, 3.0, -3.0, 1.0, -1.0, 2.0, -2.0, 0.0]
         )
 
     def test_rounding_passes_gradients_through(self):
         t = Tensor(np.array([0.3, 1.7, -0.9]), requires_grad=True)
-        rate.quantize(t, "test").sum().backward()
+        rate.quantize(t).sum().backward()
         np.testing.assert_array_equal(t.grad, [1.0, 1.0, 1.0])
 
     def test_train_noise_moments(self):
         t = Tensor(np.zeros(1_000_000))
-        out = rate.quantize(t, "train", rng=make_rng(0)).data
+        out = rate.quantize(t, make_rng(0)).data
         assert abs(out.mean()) < 0.002
         assert abs(out.var() - 1.0 / 12.0) < 0.002
         assert out.min() >= -0.5 and out.max() <= 0.5
 
-    def test_train_mode_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            rate.quantize(Tensor(np.zeros(3)), "train")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            rate.quantize(Tensor(np.zeros(3)), "eval")
 
 
 class TestLikelihood:
@@ -105,7 +98,7 @@ class TestHyperSynthesis:
         assert sigma.data.min() >= rate.SIGMA_FLOOR
 
     def test_gradients_match_finite_differences(self):
-        net = rate.HyperSynthesis(2, 2, make_rng(4), hidden=3)
+        net = rate.HyperSynthesis(2, 2, make_rng(4))
         x = Tensor(make_rng(5).standard_normal((1, 2, 4, 4)))
         proj_mu = Tensor(make_rng(6).standard_normal((1, 2, 4, 4)))
         proj_sigma = Tensor(make_rng(7).standard_normal((1, 2, 4, 4)))
@@ -261,7 +254,7 @@ class TestRateBanks:
         return alloc
 
     def test_square_bank_starts_as_identity(self):
-        banks = rate.RateBanks(8, make_rng(19))
+        banks = rate.RateBanks(8)
         s = Tensor(make_rng(20).standard_normal((1, 8, 2, 2)))
         alloc = self.uniform_alloc(8, (2, 2), 8)
         reals = banks.encode(s, alloc)
@@ -270,7 +263,7 @@ class TestRateBanks:
         np.testing.assert_array_equal(back.data, s.data)
 
     def test_narrow_bank_truncates_and_pads(self):
-        banks = rate.RateBanks(8, make_rng(21))
+        banks = rate.RateBanks(8)
         s = Tensor(make_rng(22).standard_normal((1, 8, 2, 2)))
         alloc = self.uniform_alloc(4, (2, 2), 8)
         reals = banks.encode(s, alloc)
@@ -280,7 +273,7 @@ class TestRateBanks:
         np.testing.assert_array_equal(back.data[:, 4:], 0.0)
 
     def test_mixed_rates_concatenate_in_raster_order(self):
-        banks = rate.RateBanks(8, make_rng(23))
+        banks = rate.RateBanks(8)
         s = Tensor(make_rng(24).standard_normal((1, 8, 1, 2)))
         p = np.empty((1, 8, 1, 2))
         p[0, :, 0, 0] = 2.0 ** -2.4375  # alpha 3.9
@@ -293,7 +286,7 @@ class TestRateBanks:
         np.testing.assert_array_equal(reals[0].data[4:], s.data[0, :, 0, 1])
 
     def test_tokens_shift_the_patch_vector(self):
-        banks = rate.RateBanks(4, make_rng(25))
+        banks = rate.RateBanks(4)
         banks.tokens.data[0] = [1.0, 2.0, 3.0, 4.0]
         s = Tensor(np.zeros((1, 4, 1, 1)))
         alloc = self.uniform_alloc(4, (1, 1), 4)
@@ -301,7 +294,7 @@ class TestRateBanks:
         np.testing.assert_array_equal(reals[0].data, [1.0, 2.0, 3.0, 4.0])
 
     def test_tokens_learn(self):
-        banks = rate.RateBanks(4, make_rng(26))
+        banks = rate.RateBanks(4)
         s = Tensor(make_rng(27).standard_normal((1, 4, 2, 2)))
         alloc = self.uniform_alloc(4, (2, 2), 4)
         out = banks.encode(s, alloc)[0]
@@ -310,19 +303,19 @@ class TestRateBanks:
         assert np.abs(banks.tokens.grad[0]).max() > 0.0
 
     def test_channel_count_enforced(self):
-        banks = rate.RateBanks(4, make_rng(28))
+        banks = rate.RateBanks(4)
         alloc = self.uniform_alloc(4, (1, 1), 8)
         with pytest.raises(ValueError, match="banks built for"):
             banks.encode(Tensor(np.zeros((1, 8, 1, 1))), alloc)
 
     def test_allocation_grid_must_match(self):
-        banks = rate.RateBanks(4, make_rng(29))
+        banks = rate.RateBanks(4)
         alloc = self.uniform_alloc(4, (2, 2), 4)
         with pytest.raises(ValueError, match="allocation grid"):
             banks.encode(Tensor(np.zeros((1, 4, 1, 1))), alloc)
 
     def test_payload_length_mismatch_is_hard_error(self):
-        banks = rate.RateBanks(4, make_rng(30))
+        banks = rate.RateBanks(4)
         alloc = self.uniform_alloc(4, (2, 2), 4)
         # one image's stream one real short, or one stream too many
         for lengths in [(15,), (16, 16)]:
@@ -330,7 +323,7 @@ class TestRateBanks:
                 banks.decode([Tensor(np.zeros(n)) for n in lengths], alloc.alpha_bar)
 
     def test_banks_are_one_matrix_per_direction(self):
-        banks = rate.RateBanks(4, make_rng(31))
+        banks = rate.RateBanks(4)
         total = sum(rate.RATE_SET)
         shapes = {name: p.data.shape for name, p in banks.named_parameters()}
         assert shapes == {
@@ -360,7 +353,7 @@ class TestRateBanksOracle:
     @pytest.fixture()
     def setup(self):
         rng = make_rng(40)
-        banks = rate.RateBanks(4, rng)
+        banks = rate.RateBanks(4)
         for param in banks.parameters():
             param.data = rng.standard_normal(param.data.shape)
         # alpha = -0.2 * 4 channels * log2 p

@@ -1,6 +1,8 @@
 """Loss, optimizer, the analog channel training crosses, and the staged
 schedule."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestPolyLr:
         assert poly_lr(3e-4, 100, 100) == 0.0
 
     def test_monotone_decay(self):
-        values = [poly_lr(1.0, s, 50, power=0.9) for s in range(51)]
+        values = [poly_lr(1.0, s, 50) for s in range(51)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -177,7 +179,7 @@ def expected_analog(vec, chan, trial):
     real = draw_realization(chan, z.size, trial)
     zf = real.n / real.h
     noise = np.stack([zf.real, zf.imag], axis=-1).reshape(-1)[: vec.size]
-    return vec + noise / power_gain(z, chan.power)
+    return vec + noise / power_gain(z)
 
 
 class TestSendAnalog:
@@ -189,9 +191,7 @@ class TestSendAnalog:
     def test_noise_scaled_by_inverse_gain(self):
         for kind in ("awgn", "rayleigh_block"):
             for length in (6, 7):
-                chan = ChannelConfig(
-                    kind=kind, snr_db=8.0, power=2.0, block_len=2, seed=4
-                )
+                chan = ChannelConfig(kind=kind, snr_db=8.0, block_len=2, seed=4)
                 vec = make_rng(length).standard_normal(length) * 3.0
                 out = send_analog(Tensor(vec), chan, trial=5)
                 np.testing.assert_allclose(
@@ -318,7 +318,7 @@ class TestTrainingForward:
         assert parts["alloc"] is not None
         assert parts["x_hat"].data.shape == (2, 3, 8, 8)
         loss.backward()
-        grads = [p.grad for p in model.ra_parameters()]
+        grads = [p.grad for p in model.banks.parameters()]
         assert any(g is not None and np.any(g) for g in grads)
 
     def test_rate_map_crosses_the_side_channel_packer(self, monkeypatch):
@@ -349,7 +349,7 @@ class TestTrainingForward:
         for freeze in (False, True):
             model = toy_model()
             model.banks.tokens.data[:] = 0.5
-            ra = {id(p) for p in model.ra_parameters()}
+            ra = {id(p) for p in model.banks.parameters()}
             others = [p for p in model.parameters() if id(p) not in ra] if freeze else []
             with frozen(others):
                 loss, _ = training_forward(
@@ -357,7 +357,7 @@ class TestTrainingForward:
                 )
                 loss.backward()
             assert all(p.grad is None for p in others)
-            grads.append([p.grad.tobytes() for p in model.ra_parameters()])
+            grads.append([p.grad.tobytes() for p in model.banks.parameters()])
         assert grads[0] == grads[1]
 
     def test_end_to_end_gradients_match_finite_differences(self):
@@ -403,6 +403,27 @@ class TestTrainingForward:
                 if scale < 1e-8:
                     continue
                 assert abs(fd - grad) / scale < 2e-3, (name, idx, fd, grad)
+
+
+def rewritten_checkpoint(tmp_path, change):
+    """A saved toy checkpoint whose entries pass through `change`."""
+    path = tmp_path / "model.npz"
+    save_model(path, toy_model(seed=3), [1.0])
+    with np.load(path) as blob:
+        entries = {name: blob[name] for name in blob.files}
+    change(entries)
+    np.savez(path, **entries)
+    return path
+
+
+def with_config(**extra):
+    """A checkpoint change that merges `extra` into the saved config."""
+
+    def change(entries):
+        raw = json.loads(str(entries["__config__"]))
+        entries["__config__"] = np.array(json.dumps({**raw, **extra}))
+
+    return change
 
 
 class TestTrainLoop:
@@ -482,13 +503,13 @@ class TestTrainLoop:
         model = toy_model()
         model, _ = train(self._cfg(1), toy_images(), model, toy_pipeline())
         model, _ = train(self._cfg(2), toy_images(), model, toy_pipeline())
-        ra = {id(p) for p in model.ra_parameters()}
+        ra = {id(p) for p in model.banks.parameters()}
         others = [p for p in model.parameters() if id(p) not in ra]
         assert others
         for p in others:
             assert p.grad is None
             assert p.requires_grad
-        assert all(p.requires_grad for p in model.ra_parameters())
+        assert all(p.requires_grad for p in model.banks.parameters())
 
     def test_train_leaves_no_gradients(self):
         # the last step's gradients are spent once Adam has used them
@@ -511,6 +532,27 @@ class TestTrainLoop:
         assert set(state) == set(loaded_state)
         for key in state:
             assert loaded_state[key].tobytes() == state[key].tobytes(), key
+
+    def test_checkpoint_with_null_hyper_hidden_loads(self, tmp_path):
+        # checkpoints saved while the hyperprior width was a field hold it as null
+        path = rewritten_checkpoint(tmp_path, with_config(hyper_hidden=None))
+        loaded, history = training.load_model(path)
+        assert loaded.cfg == toy_model(seed=3).cfg and history == [1.0]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (with_config(hyper_hidden=8), r"unknown model config keys \['hyper_hidden'\]"),
+            (with_config(width=3), r"unknown model config keys \['width'\]"),
+            (lambda entries: entries.pop("__config__"), "no __config__ entry"),
+            (lambda entries: entries.pop("decoder.entry.weight"), "misses parameters"),
+        ],
+        ids=["set-hyper-hidden", "unknown-key", "no-config", "missing-parameter"],
+    )
+    def test_bad_checkpoint_raises_value_error(self, tmp_path, change, message):
+        path = rewritten_checkpoint(tmp_path, change)
+        with pytest.raises(ValueError, match=message):
+            training.load_model(path)
 
     def test_checkpoint_shape_mismatch_rejected(self):
         model = toy_model()
