@@ -14,7 +14,10 @@ change's ``quality.digest`` (read from run.py's record line, the
 second-to-last line of its output) equals the parent's, so a refactor
 can show identical outputs with the tool that times it. The digest
 hashes the report's keys as well as its values, so it shows identity
-only while those keys are unchanged. Standard library only; run it from
+only while those keys are unchanged. On a workload that trains, the
+line also says whether the record's ``quality.train_loss_end`` equals
+the parent's: training numerics can stay identical while the digest
+moves with the evaluation transmits. Standard library only; run it from
 any directory of the repository.
 """
 
@@ -50,7 +53,7 @@ def export(ref: str, dest: pathlib.Path) -> pathlib.Path:
 
 
 def run_once(checkout: pathlib.Path, args, seed: int):
-    """End-to-end metric values and the quality digest of one
+    """End-to-end metric values and the quality figures of one
     ``perfbench/run.py`` run."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -66,7 +69,7 @@ def run_once(checkout: pathlib.Path, args, seed: int):
     if not result["correct"] or result["failed"]:
         sys.exit(f"bench_pairs: run in {checkout} failed its checks: {result}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, record["record"]["quality"]["digest"]
+    return metrics, record["record"]["quality"]
 
 
 def quartiles(values):
@@ -116,26 +119,28 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": export(args.parent, pathlib.Path(tmp) / "parent"), "change": ROOT}
         runs = {"parent": [], "change": []}
-        same = 0
+        same = {}  # quality key -> pairs on which the change matched the parent
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            digests = {}
+            quality = {}
             for side in order:
-                metrics, digests[side] = run_once(sides[side], args, seed)
+                metrics, quality[side] = run_once(sides[side], args, seed)
                 runs[side].append(metrics)
             p50 = [runs[side][-1]["op_cpu_ms_p50"] for side in ("parent", "change")]
-            match = digests["parent"] == digests["change"]
-            same += match
-            print(
+            line = (
                 f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-                f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}, quality digest "
-                f"{'same' if match else 'differs'}",
-                flush=True,
+                f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}"
             )
+            for key in ("digest", "train_loss_end"):
+                if key in quality["parent"]:
+                    match = quality["parent"][key] == quality["change"].get(key)
+                    same[key] = same.get(key, 0) + match
+                    line += f", quality {key} {'same' if match else 'differs'}"
+            print(line, flush=True)
+    matched = ", ".join(f"quality {key} same on {n}/{args.pairs} pairs" for key, n in same.items())
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent}, "
-          f"change working tree, seeds {args.seeds}; quality digest same on "
-          f"{same}/{args.pairs} pairs")
+          f"change working tree, seeds {args.seeds}; {matched}")
     print(summary(spec["end_to_end"], runs))
 
 

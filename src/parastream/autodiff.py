@@ -1,10 +1,20 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-The engine is deliberately small: float64 everywhere, graph edges held
-by closures, and only the operations the semantic branch actually needs
-(elementwise arithmetic, matmul, reductions, reshaping, indexing, 2-D
-convolution and its adjoint, and a handful of activations). There is no
-GPU path and no broadcasting beyond what the layers in this package use.
+The engine is deliberately small: graph edges held by closures, and
+only the operations the semantic branch actually needs (elementwise
+arithmetic, matmul, reductions, reshaping, indexing, 2-D convolution and
+its adjoint, and a handful of activations). There is no GPU path and no
+broadcasting beyond what the layers in this package use.
+
+Dtypes: a tensor holds float32 or float64 data. Float32 data stays
+float32 and any other dtype becomes float64, so an op's output has the
+dtype NumPy promotes its operands to. A Python scalar operand takes the
+dtype of the tensor it meets (a weak scalar, as in NumPy 2's NEP 50), so
+it neither widens float32 work nor rounds float64 work: a float64 graph
+gives the same bits as an engine that is float64 throughout. Training
+and every gradient check run in float64; ``pipeline.transmit_image``
+runs the encoder and decoder in float32. ``Tensor.astype`` crosses
+between the two inside a graph.
 """
 
 from __future__ import annotations
@@ -41,13 +51,32 @@ class DimensionError(ValueError):
     """Operand shapes cannot be reconciled; the message names the axis."""
 
 
-class Tensor:
-    """Dense float64 array plus an optional edge into the backward graph."""
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_spent")
+
+class Tensor:
+    """Dense float32 or float64 array plus an optional edge into the
+    backward graph.
+
+    ``data`` keeps float32 as float32; any other dtype becomes float64.
+    ``version`` counts in-place writes to ``data``. Code that writes into
+    a parameter's ``data`` in place must bump it, as ``training.Adam.step``
+    does; code that rebinds ``data`` (``layers.Module.load_state_dict``,
+    ``p.data = ...``) need not. Values derived from a parameter and kept
+    across calls, such as the float32 copy that inference runs on
+    (``layers.Module.float32``), are checked against the array itself and
+    its version, so an in-place write that skips the bump leaves them
+    stale.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "version", "_parents", "_grad_fn", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype is not _FLOAT64 and data.dtype is not _FLOAT32:
+            data = data.astype(np.float64)
+        self.data = data
+        self.version = 0
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -83,6 +112,19 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+    def astype(self, dtype) -> Tensor:
+        """These values as ``dtype`` (float32 or float64); the tensor
+        itself when its dtype already matches. The gradient flows back
+        cast to this tensor's dtype."""
+        if self.data.dtype == dtype:
+            return self
+        source = self.data.dtype
+
+        def grad_fn(g):
+            _accumulate(self, g.astype(source), owned=True)
+
+        return Tensor._from_op(self.data.astype(dtype), (self,), grad_fn)
 
     # -- backward pass ---------------------------------------------------
 
@@ -126,7 +168,7 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _wrap(other)
+        other = _wrap(other, self)
         out_data = self.data + other.data
         a, b = _live(self, other)
 
@@ -145,13 +187,13 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), grad_fn)
 
     def __sub__(self, other):
-        return self + (-_wrap(other))
+        return self + (-_wrap(other, self))
 
     def __rsub__(self, other):
-        return _wrap(other) + (-self)
+        return _wrap(other, self) + (-self)
 
     def __mul__(self, other):
-        other = _wrap(other)
+        other = _wrap(other, self)
         out_data = self.data * other.data
         a, b = _live(self, other)
 
@@ -164,7 +206,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _wrap(other)
+        other = _wrap(other, self)
         out_data = self.data / other.data
         a, b = _live(self, other)
 
@@ -178,7 +220,7 @@ class Tensor:
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
     def __rtruediv__(self, other):
-        return _wrap(other) / self
+        return _wrap(other, self) / self
 
     def __pow__(self, exponent):
         if not np.isscalar(exponent):
@@ -233,7 +275,7 @@ class Tensor:
         src_shape = self.data.shape
 
         def grad_fn(g):
-            full = np.zeros(src_shape)
+            full = np.zeros(src_shape, self.data.dtype)
             np.add.at(full, index, g)
             _accumulate(self, full, owned=True)
 
@@ -263,8 +305,14 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _wrap(value, like: Tensor | None = None) -> Tensor:
+    """value as a Tensor. A Python scalar that meets the tensor ``like``
+    takes its dtype."""
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and isinstance(value, (int, float)):
+        return Tensor(np.array(value, like.data.dtype))
+    return Tensor(value)
 
 
 def _live(*tensors):
@@ -276,8 +324,8 @@ def _live(*tensors):
 
 
 def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
-    """Add g into t.grad; nothing for t None. A first gradient becomes a
-    float64 array of t's shape: g itself when the caller owns a fresh
+    """Add g into t.grad; nothing for t None. A first gradient becomes an
+    array of t's shape and dtype: g itself when the caller owns a fresh
     array of exactly that shape and dtype (owned=True), else a broadcast
     copy of g."""
     if t is None:
@@ -286,7 +334,7 @@ def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
         if owned:
             t.grad = g
         else:
-            t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+            t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -431,7 +479,7 @@ def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int):
 
 def _col2im(cols, batch, channels, h_pad, w_pad, k, stride, h_out, w_out):
     """Adjoint of _im2col: scatter-add patches back onto the padded grid."""
-    grid = np.zeros((batch, channels, h_pad, w_pad))
+    grid = np.zeros((batch, channels, h_pad, w_pad), cols.dtype)
     cols = cols.reshape(batch, channels, k, k, h_out, w_out)
     for i in range(k):
         for j in range(k):

@@ -136,7 +136,7 @@ class UpBlock(Module):
 
     def __init__(self, c_in, c_out, rng, last=False):
         super().__init__()
-        self.tconv = ConvTranspose2d(c_in, c_out, 4, rng, stride=2, padding=1)
+        self.tconv = ConvTranspose2d(c_in, c_out, rng)
         self.gdn = GDN(c_out, inverse=True)
         if not last:
             self.act = PReLU(c_out)

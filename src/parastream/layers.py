@@ -3,7 +3,8 @@
 A ``Module`` tracks parameter tensors and child modules by attribute
 assignment, enough for optimizers and checkpointing; ``frozen`` keeps
 parameters out of the backward graph for the length of a block, for
-staged training and graph-free inference. Initialization follows the
+staged training and graph-free inference, and ``Module.float32`` runs a
+block on a float32 copy of a module's weights. Initialization follows the
 package-wide conventions: Glorot-uniform weights, zero biases, GDN at
 beta=1 / gamma=0.1*I, PReLU slopes at 0.25.
 """
@@ -19,10 +20,14 @@ from .autodiff import Tensor
 
 LEAKY_SLOPE = 0.01
 GDN_FLOOR = 1e-6
+# ConvTranspose2d exactly doubles the spatial dims: (h - 1) * 2 - 2 + 4 = 2h
+UP_KERNEL, UP_STRIDE, UP_PADDING = 4, 2, 1
 
 
 class Module:
     """Minimal parameter container with named traversal."""
+
+    _float32 = None  # (source arrays and versions, float32 copies), see float32
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -42,12 +47,19 @@ class Module:
             yield from child.named_parameters(prefix + name + ".")
 
     def parameters(self):
+        """Each parameter once, in named_parameters order."""
         seen = set()
         out = []
-        for _, param in self.named_parameters():
-            if id(param) not in seen:
-                seen.add(id(param))
-                out.append(param)
+
+        def walk(module):
+            for param in module._params.values():
+                if id(param) not in seen:
+                    seen.add(id(param))
+                    out.append(param)
+            for child in module._children.values():
+                walk(child)
+
+        walk(self)
         return out
 
     def zero_grad(self):
@@ -70,6 +82,35 @@ class Module:
                     f"model {param.data.shape}"
                 )
             param.data = value.copy()
+
+    @contextlib.contextmanager
+    def float32(self):
+        """Bind a float32 copy of every parameter's data for the length of
+        a ``with`` block, and the original arrays again on exit.
+
+        The module keeps one copy and casts it once per weight state: again
+        only when a parameter's data was rebound (``load_state_dict``,
+        ``p.data = ...``) or its version bumped (``Adam.step``) since. The
+        check holds the source arrays themselves, whose ids could be
+        reused after garbage collection, and compares them with ``is``.
+        """
+        params = self.parameters()
+        kept = self._float32
+        if kept is None or len(kept[0]) != len(params) or any(
+            p.data is not data or p.version != version
+            for p, (data, version) in zip(params, kept[0])
+        ):
+            kept = self._float32 = (
+                [(p.data, p.version) for p in params],
+                [p.data.astype(np.float32) for p in params],
+            )
+        for p, copy in zip(params, kept[1]):
+            p.data = copy
+        try:
+            yield
+        finally:
+            for p, (data, _) in zip(params, kept[0]):
+                p.data = data
 
 
 @contextlib.contextmanager
@@ -134,20 +175,23 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0):
+    """Biased transpose convolution that doubles the spatial dims
+    (kernel UP_KERNEL, stride UP_STRIDE, padding UP_PADDING)."""
+
+    def __init__(self, c_in, c_out, rng):
         super().__init__()
-        self.stride = stride
-        self.padding = padding
-        fan = kernel * kernel
+        fan = UP_KERNEL * UP_KERNEL
         self.weight = Tensor(
-            glorot_uniform(rng, (c_in, c_out, kernel, kernel), c_in * fan, c_out * fan),
+            glorot_uniform(
+                rng, (c_in, c_out, UP_KERNEL, UP_KERNEL), c_in * fan, c_out * fan
+            ),
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv_transpose2d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding
+            x, self.weight, self.bias, stride=UP_STRIDE, padding=UP_PADDING
         )
 
 

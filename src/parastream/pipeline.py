@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +120,20 @@ class TransmissionFrame:
         return self.n / self.k
 
 
-@functools.lru_cache(maxsize=4)
 def load_code(name: str = DEFAULT_TABLE) -> ldpc.ParityCheckMatrix:
+    """The code of a shift table: a filesystem path or a bundled name, as
+    `ldpc.load_base_table` resolves it. A path is cached by its resolved
+    location, modification time and size, so a rewritten file loads
+    again; a bundled name is cached by the name."""
+    if os.path.exists(name):
+        stat = os.stat(name)
+        return _build_code(os.path.realpath(name), stat.st_mtime_ns, stat.st_size)
+    return _build_code(name)
+
+
+@functools.lru_cache(maxsize=4)
+def _build_code(name, *stamp):
+    # stamp, a path's (mtime_ns, size), only keys the cache
     base, z = ldpc.load_base_table(name)
     return ldpc.build_qc_ldpc(base, z)
 
@@ -244,8 +257,16 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     (training stage 1) sends the unquantized s at full dimension and
     skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
     r_tilde, mu, sigma and alloc (None on bypass).
+
+    The encoder and decoder run in the dtype of their inputs and
+    weights; from the quantizer to the banks the chain runs in float64,
+    and s_hat enters the decoder in the dtype of x_c_hats. In training
+    everything is float64 and both casts are no-ops.
     """
-    s, r = model.encoder(batch_to_tensor(refs), batch_to_tensor(residuals))
+    s, r = (
+        t.astype(np.float64)
+        for t in model.encoder(batch_to_tensor(refs), batch_to_tensor(residuals))
+    )
     s_tilde, r_tilde = (rate.quantize(t, rng) for t in (s, r))
     mu, sigma = model.hyper(r_tilde)
     if bypass:
@@ -262,7 +283,8 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
         rx_idx = np.stack([rate.unpack_rate_indices(blob, alloc.k_s) for blob in blobs])
         rx_widths = model.banks.widths[rx_idx].reshape(alloc.alpha_bar.shape)
         s_hat = model.banks.decode(received, rx_widths)
-    x_hat = model.decoder(batch_to_tensor(x_c_hats), s_hat, chan.snr_db)
+    x_c = batch_to_tensor(x_c_hats)
+    x_hat = model.decoder(x_c, s_hat.astype(x_c.data.dtype), chan.snr_db)
     return dict(x_hat=x_hat, s_tilde=s_tilde, r_tilde=r_tilde, mu=mu, sigma=sigma, alloc=alloc)
 
 
@@ -296,6 +318,16 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     image that is not H x W x C, of a float dtype, finite and in [0, 1]
     raises ValueError before any work (DimensionError for a shape the
     semantic branch cannot take).
+
+    The semantic encoder and decoder run in float32: on float32 copies
+    of the image, its coding residual and the conventional
+    reconstruction, and on the float32 weight copy of
+    `layers.Module.float32`. Their convolutions are most of the work, and
+    float32 GEMMs run about twice as fast. The entropy model stays
+    float64, from the quantizer through the hyper synthesis, the rate
+    allocation and the banks to the analog channel: in float32, CDF
+    differences in the Gaussian tails reach the likelihood floor and
+    flip rate decisions. x_hat is returned as float64.
     """
     if cfg.semantic:
         model = SemanticModel(ModelConfig()) if model is None else model
@@ -311,9 +343,10 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
 
     x_hat, semantic_dims, k_s, clamped = x_c_hat, 0, 0, 0
     if cfg.semantic:
-        with frozen(model.parameters()):
-            out = semantic_forward(model, [x_ref], [x_r], [x_c_hat], cfg.channel, [seed])
-        x_hat, alloc = tensor_to_image(out["x_hat"]), out["alloc"]
+        inputs = ([a.astype(np.float32)] for a in (x_ref, x_r, x_c_hat))
+        with frozen(model.parameters()), model.encoder.float32(), model.decoder.float32():
+            out = semantic_forward(model, *inputs, cfg.channel, [seed])
+        x_hat, alloc = tensor_to_image(out["x_hat"]).astype(np.float64), out["alloc"]
         semantic_dims, k_s, clamped = int(alloc.totals()[0]), alloc.k_s, alloc.clamped
 
     frame = TransmissionFrame(

@@ -96,6 +96,7 @@ class Adam:
             np.multiply(np.divide(m, c1, out=num), self.lr, out=num)
             np.add(np.sqrt(np.divide(v, c2, out=den), out=den), self.eps, out=den)
             p.data -= np.divide(num, den, out=num)
+            p.version += 1
 
 
 def poly_lr(base: float, step: int, total: int) -> float:

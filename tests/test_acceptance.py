@@ -92,7 +92,7 @@ def _gradient_battery(rng):
         ("conv2d", lambda: projection_loss(conv(x), p), [*conv.parameters(), x])
     )
 
-    tconv = ConvTranspose2d(2, 3, 4, rng, stride=2, padding=1)
+    tconv = ConvTranspose2d(2, 3, rng)
     xt = _leaf(rng, (1, 2, 3, 3))
     pt = rng.normal(size=(1, 3, 6, 6))
     battery.append(

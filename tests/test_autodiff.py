@@ -1,6 +1,8 @@
 """Tensor engine tests: hand-computed examples, brute-force oracles, and
 finite-difference gradient checks for every primitive."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from parastream import autodiff as ad
 from parastream.autodiff import Tensor
 from parastream.layers import frozen
+from parastream.rng import make_rng
 
 from helpers import (
     conv2d_grads_oracle,
@@ -413,6 +416,64 @@ class TestSoftmaxPerPixel:
             lambda: projection_loss(ad.softmax_per_pixel(logits), proj), [logits]
         )
         assert err < GRAD_TOL
+
+
+class TestDtypes:
+    """float32 stays float32, everything else becomes float64, and a
+    Python scalar takes the dtype of the tensor it meets."""
+
+    def test_float32_kept_and_other_dtypes_widened(self):
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        for data in (np.ones(2, np.float16), np.arange(2), [1, 2], 0.5):
+            assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda t: t * 0.5,
+            lambda t: 0.5 * t,
+            lambda t: 0.5 - t,
+            lambda t: t - 0.5,
+            lambda t: t + 2,
+            lambda t: 3.0 / t,
+            lambda t: t / 3.0,
+            lambda t: t.mean(),
+            lambda t: t**2.0,
+        ],
+    )
+    def test_scalar_operands_keep_float32(self, op):
+        t = Tensor(np.array([1.0, 2.0, 4.0], np.float32))
+        assert op(t).data.dtype == np.float32
+
+    def test_float64_graph_with_scalars_is_pinned(self):
+        # the bytes an engine that is float64 throughout gives for this
+        # graph; weak scalars must not move a single bit of it
+        x = Tensor(make_rng(11).standard_normal((3, 4)), requires_grad=True)
+        y = (0.5 - x) * 0.3 + 1.7
+        loss = (2.0 / (y / 2.9 - 4.0)).mean() - 0.125 + (1.5 * x * x).sum() ** 0.5
+        loss.backward()
+        digest = hashlib.sha256(loss.data.tobytes() + x.grad.tobytes()).hexdigest()
+        assert digest == "3202dabc02dc666bac2ab2156e8beeb4fe6dc444e7de8e57f60e11b3f7cd5893"
+
+    def test_astype_casts_value_and_gradient(self):
+        x = Tensor(np.array([1.0, 1.0 + 2.0**-30]), requires_grad=True)
+        assert x.astype(np.float64) is x
+        narrow = x.astype(np.float32)
+        assert narrow.data.dtype == np.float32
+        np.testing.assert_array_equal(narrow.data, [1.0, 1.0])
+        (narrow * 3.0).sum().backward()
+        assert x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_conv_ops_run_in_float32(self):
+        rng = make_rng(12)
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+        out = ad.conv2d(x, w, padding=1)
+        up = ad.conv_transpose2d(out, w, stride=2, padding=1)
+        assert out.data.dtype == up.data.dtype == np.float32
+        wide = ad.conv2d(x.astype(np.float64), w.astype(np.float64), padding=1)
+        np.testing.assert_allclose(out.data, wide.data, rtol=1e-5, atol=1e-5)
 
 
 def test_oracle_helper_agrees_with_itself_on_identity():

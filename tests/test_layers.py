@@ -74,6 +74,38 @@ class TestModule:
                 raise KeyError("inside")
         assert a.requires_grad
 
+    def test_float32_binds_a_copy_and_restores_the_arrays(self):
+        lin = ly.Linear(3, 2, make_rng(4))
+        originals = [p.data for p in lin.parameters()]
+        with lin.float32():
+            assert all(p.data.dtype == np.float32 for p in lin.parameters())
+            out = lin(Tensor(np.ones((1, 3), np.float32)))
+        assert out.data.dtype == np.float32
+        assert all(p.data is a for p, a in zip(lin.parameters(), originals))
+        with pytest.raises(KeyError):
+            with lin.float32():
+                raise KeyError("inside")
+        assert all(p.data is a for p, a in zip(lin.parameters(), originals))
+
+    def test_float32_copy_is_cast_once_per_weight_state(self):
+        lin = ly.Linear(3, 2, make_rng(5))
+
+        def copy():
+            with lin.float32():
+                return lin.weight.data
+
+        first = copy()
+        assert copy() is first
+        lin.weight.data[0, 0] = 7.0  # an in-place write without the bump
+        assert copy() is first and copy()[0, 0] != 7.0
+        lin.weight.version += 1
+        assert copy()[0, 0] == 7.0
+        kept = copy()
+        lin.weight.data = lin.weight.data * 2.0
+        assert copy()[0, 0] == 14.0 and copy() is not kept
+        lin.load_state_dict({"weight": np.ones((3, 2)), "bias": np.zeros(2)})
+        np.testing.assert_array_equal(copy(), np.ones((3, 2), np.float32))
+
     def test_module_list(self):
         blocks = ly.ModuleList([ly.Linear(2, 2, make_rng(i)) for i in range(3)])
         assert len(blocks) == 3
@@ -117,7 +149,7 @@ class TestLayerGradients:
 
     def test_conv_transpose_layer_doubles_size(self):
         rng = make_rng(6)
-        up = ly.ConvTranspose2d(3, 2, 4, rng, stride=2, padding=1)
+        up = ly.ConvTranspose2d(3, 2, rng)
         x = Tensor(rng.standard_normal((1, 3, 3, 3)), requires_grad=True)
         out = up(x)
         assert out.data.shape == (1, 2, 6, 6)

@@ -1,5 +1,7 @@
 """Both branches end to end: framing, accounting, degradation paths."""
 
+import importlib.resources
+import inspect
 import math
 from dataclasses import fields
 
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastream import codec, data, ldpc, pipeline
+from parastream import autodiff, codec, data, ldpc, pipeline, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
-from parastream.layers import frozen
+from parastream.layers import ConvTranspose2d, frozen
 from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
 from parastream.training import TrainConfig
@@ -204,6 +206,8 @@ class TestConfigValidation:
             pipeline.PipelineConfig: ("q", "code", "channel", "lambda1", "semantic"),
             TrainConfig: ("stage", "steps", "batch_size", "lr", "snr_set", "seed"),
         }
+        # the transpose conv always doubles: kernel, stride and padding are constants
+        assert tuple(inspect.signature(ConvTranspose2d).parameters) == ("c_in", "c_out", "rng")
 
     def test_model_width_contracts(self):
         with pytest.raises(ValueError, match="c_s"):
@@ -296,7 +300,7 @@ class TestSemanticForward:
         # weights leave features that survive the quantizer
         model = pipeline.SemanticModel(pipeline.ModelConfig())
         for p in model.encoder.parameters():
-            p.data *= 2.0
+            p.data = p.data * 2.0
         return model
 
     @pytest.mark.parametrize("size", [16, 32])
@@ -333,6 +337,8 @@ class TestSemanticForward:
             )
 
     def test_transmit_is_its_batch_of_one(self, loud_model):
+        # transmit_image runs the encoder and decoder in float32: its
+        # batch of one takes float32 inputs and the float32 weight copy
         x = data.make_corpus(count=1, size=16, seed=5)[0]
         cfg = desk_config(snr_db=6.0)
         x_hat, frame, _ = pipeline.transmit_image(x, cfg, seed=3, model=loud_model)
@@ -341,12 +347,39 @@ class TestSemanticForward:
         ((x_c_hat, _, _),) = pipeline._send_conventional(
             [blob], [x_ref.shape], cfg, pcm, [6]
         )
-        with frozen(loud_model.parameters()):
-            out = pipeline.semantic_forward(
-                loud_model, [x_ref], [x_r], [x_c_hat], cfg.channel, [3]
-            )
+        inputs = ([a.astype(np.float32)] for a in (x_ref, x_r, x_c_hat))
+        with (
+            frozen(loud_model.parameters()),
+            loud_model.encoder.float32(),
+            loud_model.decoder.float32(),
+        ):
+            out = pipeline.semantic_forward(loud_model, *inputs, cfg.channel, [3])
+        assert x_hat.dtype == np.float64 and out["x_hat"].data.dtype == np.float32
         np.testing.assert_array_equal(x_hat, out["x_hat"].data[0].transpose(1, 2, 0))
         assert frame.semantic_dims == int(out["alloc"].totals()[0])
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_float32_conv_stacks_match_float64(self, loud_model, size):
+        # float64 from the quantizer on: no rounding of s or r and no
+        # rate decision moves, and x_hat moves by float32 rounding only
+        images = data.make_corpus(count=8, size=size, seed=21)
+        refs, x_cs, residuals, _ = zip(*(pipeline.split_source(x, 50) for x in images))
+        chan = ChannelConfig(kind="awgn", snr_db=6.0)
+        keys = list(range(8))
+        with frozen(loud_model.parameters()):
+            wide = pipeline.semantic_forward(loud_model, refs, residuals, x_cs, chan, keys)
+            inputs = ([a.astype(np.float32) for a in part] for part in (refs, residuals, x_cs))
+            with loud_model.encoder.float32(), loud_model.decoder.float32():
+                narrow = pipeline.semantic_forward(loud_model, *inputs, chan, keys)
+        assert np.count_nonzero(wide["s_tilde"].data)
+        for name in ("s_tilde", "r_tilde"):
+            assert narrow[name].data.dtype == np.float64
+            np.testing.assert_array_equal(
+                np.rint(narrow[name].data), np.rint(wide[name].data), err_msg=name
+            )
+        np.testing.assert_array_equal(narrow["alloc"].alpha_bar, wide["alloc"].alpha_bar)
+        assert narrow["x_hat"].data.dtype == np.float32
+        assert np.abs(narrow["x_hat"].data - wide["x_hat"].data).max() <= 1e-5
 
 
 class TestFullPipeline:
@@ -455,10 +488,13 @@ class TestFullPipeline:
         assert made and not any(made)
 
     def test_transmit_restores_parameters(self, image, model, monkeypatch):
+        arrays = [p.data for p in model.parameters()]
+
         def check():
-            for p in model.parameters():
+            for p, data in zip(model.parameters(), arrays):
                 assert p.requires_grad
                 assert p.grad is None
+                assert p.data is data and p.data.dtype == np.float64
 
         pipeline.transmit_image(image, desk_config(), seed=0, model=model)
         check()
@@ -485,3 +521,85 @@ class TestFullPipeline:
             frame.image_symbols + frame.semantic_symbols + frame.side_symbols
         )
         assert math.isfinite(report["psnr_db"])
+
+
+class TestFloat32Inference:
+    """transmit_image runs the encoder and decoder in float32 on a weight
+    copy that follows every weight state; training stays float64."""
+
+    @staticmethod
+    def spy_convs(monkeypatch):
+        seen = []
+        for name in ("conv2d", "conv_transpose2d"):
+
+            def spy(x, weight, *args, _fn=getattr(autodiff, name), **kwargs):
+                seen.append((x.data.dtype, weight.data.dtype, weight))
+                return _fn(x, weight, *args, **kwargs)
+
+            monkeypatch.setattr(autodiff, name, spy)
+        return seen
+
+    def test_conv_stacks_run_in_float32_and_the_hyper_in_float64(
+        self, image, model, monkeypatch
+    ):
+        seen = self.spy_convs(monkeypatch)
+        x_hat, _, _ = pipeline.transmit_image(image, desk_config(), seed=0, model=model)
+        assert x_hat.dtype == np.float64
+        hyper = model.hyper.parameters()
+        in_hyper = [any(w is p for p in hyper) for _, _, w in seen]
+        assert sum(in_hyper) == 2 and len(seen) > 2
+        for (x_dtype, w_dtype, _), wide in zip(seen, in_hyper):
+            assert x_dtype == w_dtype == (np.float64 if wide else np.float32)
+
+    def test_training_forward_runs_in_float64(self, image, model, monkeypatch):
+        seen = self.spy_convs(monkeypatch)
+        training.training_forward(
+            model, [image, image], desk_config(), 6.0, make_rng(3), 3,
+            pipeline.load_code(), trial=0,
+        )
+        assert seen and all(x == w == np.float64 for x, w, _ in seen)
+
+    @staticmethod
+    def same_as_fresh(model, image):
+        """transmit_image's x_hat on `model`, checked byte for byte against
+        a freshly built model that holds the same state."""
+        fresh = pipeline.SemanticModel(model.cfg)
+        fresh.load_state_dict(model.state_dict())
+        cfg = desk_config(snr_db=8.0)
+        got, frame, _ = pipeline.transmit_image(image, cfg, seed=4, model=model)
+        want, want_frame, _ = pipeline.transmit_image(image, cfg, seed=4, model=fresh)
+        assert got.tobytes() == want.tobytes() and frame == want_frame
+        return got
+
+    def test_weights_follow_a_training_step(self, image):
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        before = self.same_as_fresh(model, image)
+        training.train(TrainConfig(stage=1, steps=1, batch_size=1), [image], model)
+        assert self.same_as_fresh(model, image).tobytes() != before.tobytes()
+
+    def test_weights_follow_load_state_dict(self, image):
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        before = self.same_as_fresh(model, image)
+        other = pipeline.SemanticModel(pipeline.ModelConfig(init_seed=1))
+        model.load_state_dict(other.state_dict())
+        assert self.same_as_fresh(model, image).tobytes() != before.tobytes()
+
+    def test_weights_follow_a_rebound_array(self, image):
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        before = self.same_as_fresh(model, image)
+        for p in model.decoder.parameters():
+            p.data = p.data * 1.01
+        assert self.same_as_fresh(model, image).tobytes() != before.tobytes()
+
+
+class TestLoadCode:
+    def test_rewritten_table_file_loads_again(self, tmp_path):
+        tables = importlib.resources.files("parastream") / "tables"
+        path = tmp_path / "table.txt"
+        path.write_bytes((tables / "qc_rate34_z64.txt").read_bytes())
+        assert pipeline.load_code(str(path)).n == 1024
+        path.write_bytes((tables / "qc_rate34_z384.txt").read_bytes())
+        assert pipeline.load_code(str(path)).n == 6144
+
+    def test_bundled_tables_are_cached(self):
+        assert pipeline.load_code() is pipeline.load_code(pipeline.DEFAULT_TABLE)
