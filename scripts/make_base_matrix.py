@@ -7,9 +7,11 @@ three columns: a zero-shift staircase) and gives every information
 column weight 3, with the absent row cycling so each row carries nine
 information blocks. Shifts are drawn from a seeded counter-based
 generator and accepted only if they close no length-4 cycle against
-every previously placed column; candidates then must pass full-rank
-construction, encoder round trips, and (optionally) a frame error rate
-probe before the table is written.
+every previously placed column. ldpc_encode requires the dual-diagonal
+parity part, and that part is invertible by construction, so no rank
+check is needed (docs/base_matrices.md). A candidate must then pass
+encoder round trips and (optionally) a frame error rate probe before
+the table is written.
 
 Usage:
   python3 scripts/make_base_matrix.py --z 64 --seed 1 \

@@ -9,7 +9,7 @@ from . import codec, data, experiment, metrics, training
 from .channel import ChannelConfig
 from .codec import CodecError
 from .config import ConfigError, default_config_text
-from .ldpc import LdpcError
+from .ldpc import MAX_ITER_DEFAULT, LdpcError
 from .pipeline import (
     DEFAULT_TABLE,
     ModelConfig,
@@ -76,7 +76,7 @@ def build_parser():
     p.add_argument("--snr", type=_floats, default=(2.0, 4.0, 6.0))
     p.add_argument("--frames", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
     p.add_argument("--ldpc-table", default=DEFAULT_TABLE)
     return parser
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import data
 from .channel import ChannelConfig
 from .config import ExperimentConfig, load_config
+from .ldpc import MAX_ITER_DEFAULT
 from .pipeline import (
     DEFAULT_TABLE,
     ModelConfig,
@@ -169,7 +170,9 @@ def run_experiment(config_path):
     return write_outputs(rows, cfg.out)
 
 
-def fer_monte_carlo(snr_db, frames, seed=0, code=DEFAULT_TABLE, max_iter=50):
+def fer_monte_carlo(
+    snr_db, frames, seed=0, code=DEFAULT_TABLE, max_iter=MAX_ITER_DEFAULT
+):
     """Frame error rate of the coded QPSK link over an AWGN channel.
 
     Chunk c of FER_CHUNK random frames crosses send_coded at channel

@@ -8,13 +8,14 @@ np.roll(x, -s); an entry of -1 lifts to the zero block.
 
 The encoder takes the syndrome of the information bits (the parity
 bits set to 0) through the slot table below, then solves the parity
-part of H for it (Richardson and Urbanke, "Efficient encoding of
-low-density parity-check codes", IEEE Trans. IT 2001). The shipped
-tables use a dual-diagonal parity arrangement, which the encoder
-recognizes and solves in O(n) by forward substitution. Any other
-full-rank table falls back to a cached GF(2) inverse of the parity
-part. One Gauss-Jordan routine, on rows packed into uint64 words,
-gives that inverse and the rank check of the lifted matrix.
+part of H for it in O(n) by forward substitution (Richardson and
+Urbanke, "Efficient encoding of low-density parity-check codes", IEEE
+Trans. IT 2001). It serves only the dual-diagonal parity arrangement
+of the shipped tables, as in IEEE 802.16e and 802.11n. That parity
+part is invertible by construction: its block rows sum to [I 0 ... 0],
+so the first parity block is the sum of the syndrome blocks and each
+later one follows uniquely. A table without that structure still
+lifts, and decodes, but ldpc_encode rejects it.
 
 The decoder runs the flooding sum-product schedule on a dense slot
 table built once per code: slot j of check i reads column slot_col[j, i]
@@ -56,7 +57,7 @@ and 27-38 us for 5 to 40 frames; the cumprod decoder it replaced took
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,40 +118,6 @@ def load_base_table(name):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) elimination on rows packed into little-endian uint64 words
-
-
-def _gf2_eliminate(dense):
-    """Gauss-Jordan elimination of a 0/1 matrix over GF(2).
-
-    Column c of a row is bit c % 64 of word c // 64. Returns the reduced
-    rows, still packed, and the pivot columns in order: the rank is
-    their count, and row i holds the only 1 of column pivots[i].
-    """
-    rows, cols = dense.shape
-    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=np.uint8)
-    padded[:, :cols] = dense
-    mat = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    pivots = []
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == rows:
-            break
-        word, bit = divmod(col, 64)
-        hot = (mat[:, word] >> np.uint64(bit)) & np.uint64(1)
-        hits = np.flatnonzero(hot[rank:])
-        if hits.size == 0:
-            continue
-        pivot = rank + hits[0]
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        hot[[rank, pivot]] = hot[[pivot, rank]]
-        hot[rank] = 0
-        mat[hot.astype(bool)] ^= mat[rank]
-        pivots.append(col)
-    return mat, pivots
-
-
-# ---------------------------------------------------------------------------
 # construction
 
 
@@ -164,19 +131,11 @@ class ParityCheckMatrix:
     edge_col: np.ndarray
     slot_col: np.ndarray  # [dmax, m]; n pads a check with fewer edges
     col_slots: np.ndarray  # [cmax, n]; dmax * m pads a lighter column
-    structured: tuple | None
-    _parity_inv: np.ndarray | None = field(default=None, repr=False)
+    structured: tuple | None  # (s0, interior row) of a dual-diagonal part
 
     @property
     def rate(self):
         return self.k / self.n
-
-    def dense(self):
-        """Materialize H as a dense 0/1 matrix (tests, the rank check and
-        the dense parity solver)."""
-        h = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
-        h[self.edge_row, self.edge_col] = 1
-        return h
 
 
 def _detect_dual_diagonal(base):
@@ -208,7 +167,11 @@ def _detect_dual_diagonal(base):
 
 
 def build_qc_ldpc(base, z):
-    """Lift a base shift matrix by Z and verify full row rank."""
+    """Lift a base shift matrix by Z into the decoder's slot tables.
+
+    Any base lifts; `structured` records whether its parity part is the
+    dual-diagonal one that ldpc_encode requires.
+    """
     base = np.asarray(base, dtype=np.int64)
     if base.ndim != 2:
         raise LdpcError("base matrix must be two-dimensional")
@@ -253,7 +216,7 @@ def build_qc_ldpc(base, z):
     col_slots = np.full((col_counts.max(), n), slot_col.size, dtype=np.intp)
     col_slots[col_rank, edge_col[by_col]] = (slot * m + edge_row)[by_col]
 
-    pcm = ParityCheckMatrix(
+    return ParityCheckMatrix(
         base=base,
         z=z,
         n=n,
@@ -264,9 +227,6 @@ def build_qc_ldpc(base, z):
         col_slots=col_slots,
         structured=_detect_dual_diagonal(base),
     )
-    if len(_gf2_eliminate(pcm.dense())[1]) != m:
-        raise LdpcError("expanded matrix is rank deficient")
-    return pcm
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +271,18 @@ def _solve_dual_diagonal(pcm, lam):
     return parity.reshape(m_b * pcm.z, -1)
 
 
-def _solve_dense(pcm, lam):
-    """Parity bits [m, frames] from the information syndrome `lam`
-    through the cached GF(2) inverse of the parity part of H. The inverse
-    is cached as float32 so the product runs through BLAS; every sum is
-    a count of at most m ones, exact in float32 while m < 2^24."""
-    if pcm._parity_inv is None:
-        m = pcm.n - pcm.k
-        aug = np.concatenate(
-            [pcm.dense()[:, pcm.k :], np.eye(m, dtype=np.uint8)], axis=1
-        )
-        reduced, pivots = _gf2_eliminate(aug)
-        if pivots[:m] != list(range(m)):
-            raise LdpcError("parity submatrix is singular; no systematic encoding")
-        bits = np.unpackbits(
-            reduced.view(np.uint8), axis=1, count=2 * m, bitorder="little"
-        )
-        pcm._parity_inv = bits[:, m:].astype(np.float32)
-    return (pcm._parity_inv @ lam.astype(np.float32) % 2).astype(np.uint8)
-
-
 def ldpc_encode(pcm, info):
     """Systematically encode info bits; [k] or [frames, k] accepted.
 
-    The syndrome of the information part, one slot-table gather, goes to
-    the parity solver of the table: forward substitution on a
-    dual-diagonal parity part, the dense inverse otherwise.
+    The syndrome of the information part, one slot-table gather, is
+    solved for the parity bits by forward substitution. A table whose
+    parity part is not dual-diagonal raises LdpcError.
     """
+    if pcm.structured is None:
+        raise LdpcError(
+            "ldpc_encode needs a dual-diagonal parity part (see "
+            "docs/base_matrices.md); this table can only be decoded"
+        )
     info = np.asarray(info)
     single = info.ndim == 1
     info = np.atleast_2d(info)
@@ -347,8 +292,7 @@ def ldpc_encode(pcm, info):
     padded = np.zeros((pcm.n + 1, info.shape[0]), dtype=np.uint8)
     padded[: pcm.k] = info.T
     padded[: pcm.k] &= 1
-    solve = _solve_dense if pcm.structured is None else _solve_dual_diagonal
-    padded[pcm.k : pcm.n] = solve(pcm, _parity(pcm, padded))
+    padded[pcm.k : pcm.n] = _solve_dual_diagonal(pcm, _parity(pcm, padded))
     if __debug__:
         assert not _parity(pcm, padded).any(), "encoder produced a non-codeword"
     code = np.ascontiguousarray(padded[: pcm.n].T)

@@ -3,6 +3,8 @@ brute-force oracles that the fast implementations are compared against."""
 
 import numpy as np
 
+from parastream.ldpc import MAX_ITER_DEFAULT
+
 
 def conv2d_oracle(x, w, b=None, stride=1, padding=1):
     """Direct nested-loop cross-correlation, the slow reference."""
@@ -139,6 +141,53 @@ def syndrome_oracle(pcm, bits):
     return (sums % 2).astype(np.uint8)
 
 
+def dense_h(pcm):
+    """H of a lifted code as a dense 0/1 matrix [m, n]."""
+    h = np.zeros((pcm.n - pcm.k, pcm.n), dtype=np.uint8)
+    h[pcm.edge_row, pcm.edge_col] = 1
+    return h
+
+
+def gf2_rank(mat):
+    """Rank over GF(2) of a 0/1 matrix, by Gaussian elimination on
+    unpacked rows."""
+    mat = np.array(mat, dtype=np.uint8) & 1
+    rank = 0
+    for col in range(mat.shape[1]):
+        hits = rank + np.flatnonzero(mat[rank:, col])
+        if hits.size == 0:
+            continue
+        mat[[rank, hits[0]]] = mat[[hits[0], rank]]
+        others = np.flatnonzero(mat[:, col])
+        mat[others[others != rank]] ^= mat[rank]
+        rank += 1
+        if rank == mat.shape[0]:
+            break
+    return rank
+
+
+def codeword_table(pcm):
+    """Every codeword of a small code (n up to about 16), found by
+    trying all 2^n words against syndrome_oracle. Row i is the codeword
+    whose k information bits spell i, most significant bit first, so
+    table_encode can look codewords up for codes that ldpc_encode does
+    not serve."""
+    words = np.arange(2**pcm.n)[:, None] >> np.arange(pcm.n - 1, -1, -1)
+    words = (words & 1).astype(np.uint8)
+    code = words[~syndrome_oracle(pcm, words).any(axis=1)]
+    # words run in increasing order, so word i * 2^(n - k) is the first
+    # with prefix i: a codeword per prefix lands in prefix order
+    prefixes = words[:: 2 ** (pcm.n - pcm.k), : pcm.k]
+    assert np.array_equal(code[:, : pcm.k], prefixes), "the parity part is singular"
+    return code
+
+
+def table_encode(table, info):
+    """The codewords of a codeword_table for info bits [frames, k]."""
+    k = info.shape[1]
+    return table[info.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1))]
+
+
 def send_conventional_oracle(blob, shape, cfg, pcm, trial):
     """One image's compressed bytes through LDPC/QPSK/channel on their
     own: the reference for one image of pipeline._send_conventional.
@@ -184,7 +233,7 @@ def send_conventional_oracle(blob, shape, cfg, pcm, trial):
     return x_c, corrupted, segments
 
 
-def ldpc_decode_bp_oracle(pcm, llr, max_iter=50, stall_abort=True):
+def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True):
     """Edge-list, log-domain sum-product decoder: the reference that
     ldpc.ldpc_decode_bp must match in bits, convergence and iterations.
     Same flooding schedule, early stopping, stall abort and tanh clip;

@@ -15,6 +15,14 @@ def ppm(tmp_path):
     return path
 
 
+@pytest.fixture()
+def generic_table(tmp_path):
+    """A full-rank shift table whose parity part is not dual-diagonal."""
+    path = tmp_path / "generic.txt"
+    path.write_text("Z 4\n2 4\n0 0 1 -1\n2 0 -1 0\n", encoding="ascii")
+    return path
+
+
 class TestCodecCommand:
     def test_round_trip_writes_image(self, ppm, tmp_path, capsys):
         out = tmp_path / "out.ppm"
@@ -83,6 +91,17 @@ class TestTransmitCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not a model checkpoint")
+        assert not out.exists()
+
+    def test_table_without_encoder_fails_cleanly(self, ppm, generic_table, tmp_path, capsys):
+        out = tmp_path / "rx.ppm"
+        rc = cli.main([
+            "transmit", "--image", str(ppm), "--out", str(out), "--snr", "8",
+            "--conventional-only", "--ldpc-table", str(generic_table),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dual-diagonal" in err
         assert not out.exists()
 
 
@@ -198,3 +217,13 @@ class TestFecBenchCommand:
         rc = cli.main(["fec-bench", "--frames", "0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_table_without_encoder_fails_cleanly(self, generic_table, capsys):
+        rc = cli.main([
+            "fec-bench", "--snr", "8", "--frames", "5",
+            "--ldpc-table", str(generic_table),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "dual-diagonal" in captured.err
+        assert captured.out == ""

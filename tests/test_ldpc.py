@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ldpc_decode_bp_oracle, syndrome_oracle
+from helpers import (
+    codeword_table,
+    dense_h,
+    gf2_rank,
+    ldpc_decode_bp_oracle,
+    syndrome_oracle,
+    table_encode,
+)
 from parastream import channel, ldpc, modem
 from parastream.rng import make_rng
 
@@ -67,12 +74,12 @@ class TestBuild:
 
     def test_identity_lift(self):
         pcm = ldpc.build_qc_ldpc([[0]], 4)
-        np.testing.assert_array_equal(pcm.dense(), np.eye(4, dtype=np.uint8))
+        np.testing.assert_array_equal(dense_h(pcm), np.eye(4, dtype=np.uint8))
         assert pcm.k == 0
 
     def test_shift_lift_structure(self):
         pcm = ldpc.build_qc_ldpc([[2]], 5)
-        dense = pcm.dense()
+        dense = dense_h(pcm)
         # row i has a single one at column (i + 2) mod 5
         for i in range(5):
             assert dense[i].sum() == 1
@@ -80,7 +87,7 @@ class TestBuild:
 
     def test_desk_dimensions(self, desk_code):
         assert (desk_code.n, desk_code.k) == (1024, 768)
-        assert desk_code.dense().shape == (256, 1024)
+        assert dense_h(desk_code).shape == (256, 1024)
         assert desk_code.rate == pytest.approx(0.75)
 
     def test_full_scale_dimensions(self):
@@ -94,10 +101,6 @@ class TestBuild:
             ldpc.build_qc_ldpc([[4]], 4)
         with pytest.raises(ldpc.LdpcError, match="shifts"):
             ldpc.build_qc_ldpc([[-2]], 4)
-
-    def test_rank_deficiency_rejected(self):
-        with pytest.raises(ldpc.LdpcError, match="rank"):
-            ldpc.build_qc_ldpc([[0, 0], [0, 0]], 4)
 
     def test_empty_column_rejected(self):
         with pytest.raises(ldpc.LdpcError, match="empty"):
@@ -117,6 +120,25 @@ class TestBuild:
                         da = (base[r1, a] - base[r2, a]) % z
                         db = (base[r1, b] - base[r2, b]) % z
                         assert da != db
+
+
+@st.composite
+def _dual_diagonal_bases(draw):
+    """A base with random information columns (none empty) and a
+    dual-diagonal parity part; returns (base, z, s0, interior row)."""
+    m_b = draw(st.integers(3, 6))
+    info_cols = draw(st.integers(1, 3))
+    z = draw(st.integers(2, 16))
+    s0 = draw(st.integers(1, z - 1))
+    interior = draw(st.integers(1, m_b - 2))
+    base = np.full((m_b, info_cols + m_b), -1, dtype=np.int64)
+    column = st.lists(st.integers(-1, z - 1), min_size=m_b, max_size=m_b)
+    for c in range(info_cols):
+        base[:, c] = draw(column.filter(lambda col: max(col) >= 0))
+    base[[0, interior, m_b - 1], info_cols] = s0, 0, s0
+    for j in range(1, m_b):
+        base[[j - 1, j], info_cols + j] = 0
+    return base, z, s0, interior
 
 
 class TestEncode:
@@ -148,36 +170,37 @@ class TestEncode:
         with pytest.raises(ldpc.LdpcError, match="information bits"):
             ldpc.ldpc_encode(desk_code, np.zeros(10, np.uint8))
 
-    def test_generic_fallback_matches_structured(self):
-        # z384 has m = 1536 checks, the largest sums the float32 inverse takes
-        for name in (DESK_TABLE, FULL_TABLE):
-            base, z = ldpc.load_base_table(name)
-            structured = ldpc.build_qc_ldpc(base, z)
-            info = make_rng(3).integers(0, 2, (32, structured.k)).astype(np.uint8)
-            unstructured = ldpc.build_qc_ldpc(base, z)
-            unstructured.structured = None
-            np.testing.assert_array_equal(
-                ldpc.ldpc_encode(unstructured, info), ldpc.ldpc_encode(structured, info)
-            )
-
-    def test_generic_path_on_small_code(self):
-        pcm = ldpc.build_qc_ldpc([[0, 0, 1, -1], [2, 0, -1, 0]], 4)
+    @pytest.mark.parametrize(
+        "base, z",
+        [
+            pytest.param([[0, 0], [0, 0]], 4, id="rank deficient"),
+            # full row rank, but both parity columns read [2, 1] in both rows
+            pytest.param([[2, 0, 2, 1], [-1, 0, 2, 1]], 3, id="singular parity part"),
+            pytest.param([[0, 0, 1, -1], [2, 0, -1, 0]], 4, id="generic 4x4"),
+        ],
+    )
+    def test_unstructured_table_rejected(self, base, z):
+        # such a table still lifts for the decoder, but has no encoder
+        pcm = ldpc.build_qc_ldpc(base, z)
         assert pcm.structured is None
-        info = make_rng(4).integers(0, 2, (8, pcm.k)).astype(np.uint8)
-        code = ldpc.ldpc_encode(pcm, info)
-        assert not ldpc.syndrome(pcm, code).any()
-        np.testing.assert_array_equal(code[:, : pcm.k], info)
-
-    def test_singular_parity_part_rejected(self):
-        # full row rank, but both parity columns read [2, 1] in both rows
-        pcm = ldpc.build_qc_ldpc([[2, 0, 2, 1], [-1, 0, 2, 1]], 3)
-        assert pcm.structured is None
-        with pytest.raises(ldpc.LdpcError, match="singular"):
+        with pytest.raises(ldpc.LdpcError, match="dual-diagonal"):
             ldpc.ldpc_encode(pcm, np.zeros(pcm.k, np.uint8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_dual_diagonal_bases(), seed=st.integers(0, 2**31 - 1))
+    def test_dual_diagonal_parity_part_is_invertible(self, drawn, seed):
+        base, z, s0, interior = drawn
+        pcm = ldpc.build_qc_ldpc(base, z)
+        assert pcm.structured == (s0, interior)
+        assert gf2_rank(dense_h(pcm)[:, pcm.k :]) == pcm.n - pcm.k
+        info = make_rng(seed).integers(0, 2, (4, pcm.k)).astype(np.uint8)
+        code = ldpc.ldpc_encode(pcm, info)
+        np.testing.assert_array_equal(code[:, : pcm.k], info)
+        assert not syndrome_oracle(pcm, code).any()
 
     @settings(max_examples=30, deadline=None)
     @given(
-        name=st.sampled_from([DESK_TABLE, FULL_TABLE, "generic 4x4"]),
+        name=st.sampled_from([DESK_TABLE, FULL_TABLE]),
         frames=st.integers(1, 40),
         seed=st.integers(0, 2**31 - 1),
     )
@@ -301,9 +324,20 @@ def oracle_codes():
     return codes
 
 
+def _encode(pcm, info):
+    """ldpc_encode, or a codeword-table lookup for the small codes
+    without a dual-diagonal parity part, which ldpc_encode rejects."""
+    if pcm.structured is not None:
+        return ldpc.ldpc_encode(pcm, info)
+    key = ("codewords", pcm.base.tobytes(), pcm.base.shape, pcm.z)
+    if key not in _CACHED:
+        _CACHED[key] = codeword_table(pcm)
+    return table_encode(_CACHED[key], info)
+
+
 def _channel_llrs(pcm, rng, frames, snr_db):
     info = rng.integers(0, 2, (frames, pcm.k)).astype(np.uint8)
-    symbols = modem.qpsk_modulate(ldpc.ldpc_encode(pcm, info))
+    symbols = modem.qpsk_modulate(_encode(pcm, info))
     sigma2 = channel.snr_to_sigma2(snr_db)
     noise = rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(
         symbols.shape
