@@ -8,8 +8,10 @@ with ``git archive``; the change side is this working tree. It then runs
 its own checkout, with the side that goes first alternating from pair
 to pair. At the end it prints, for every end-to-end metric in
 BENCHMARK.json, the median and quartiles of each side, how many pairs
-the change won, and whether the gap between the medians exceeds the
-parent's interquartile range. Each pair's line also says whether the
+the change won, whether the gap between the medians exceeds the
+parent's interquartile range, the signed relative change of the medians,
+and a verdict against the metric's relative ``bound`` (see ``verdict``).
+Each pair's line also says whether the
 change's ``quality.digest`` (read from run.py's record line, the
 second-to-last line of its output) equals the parent's, so a refactor
 can show identical outputs with the tool that times it. The digest
@@ -77,11 +79,27 @@ def quartiles(values):
     return median, q1, q3
 
 
+def verdict(parent, change, lower: bool, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median; else ``unresolved``
+    when the parent's interquartile range exceeds that same margin,
+    unless every change run beats every parent run; else ``ok``."""
+    pm, p1, p3 = quartiles(parent)
+    cm = statistics.median(change)
+    margin = bound * abs(pm)
+    if (cm - pm if lower else pm - cm) > margin:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if p3 - p1 > margin and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summary(metrics, runs) -> str:
     pairs = len(runs["parent"])
     lines = [
         f"{'metric':<16} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-        f" {'change wins':>12}  gap > parent IQR"
+        f" {'change wins':>12}  gap > parent IQR  {'change':>8}  verdict (bound)"
     ]
     for m in metrics:
         name = m["name"]
@@ -94,9 +112,11 @@ def summary(metrics, runs) -> str:
         gain = (pm - cm) if lower else (cm - pm)
         parent_cell = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
         change_cell = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
+        relative = f"{(cm - pm) / abs(pm):+.2%}" if pm else "n/a"
         lines.append(
             f"{name:<16} {parent_cell:>30} {change_cell:>30} {f'{wins}/{pairs}':>12}"
-            f"  {'yes' if gain > p3 - p1 else 'no'}"
+            f"  {'yes' if gain > p3 - p1 else 'no':<16}  {relative:>8}"
+            f"  {verdict(parent, change, lower, m['bound'])} ({m['bound']:.0%})"
         )
     return "\n".join(lines)
 

@@ -6,6 +6,11 @@ arithmetic, matmul, reductions, reshaping, indexing, 2-D convolution and
 its adjoint, and a handful of activations). There is no GPU path and no
 broadcasting beyond what the layers in this package use.
 
+One patch kernel (``_im2col``, then a GEMM) and its adjoint (a GEMM,
+then ``_col2im``) serve both convolutions, forward and backward: each is
+one op's forward pass and the other's input gradient. Both weight
+gradients are one batched GEMM against the patch matrix.
+
 Dtypes: a tensor holds float32 or float64 data. Float32 data stays
 float32 and any other dtype becomes float64, so an op's output has the
 dtype NumPy promotes its operands to. A Python scalar operand takes the
@@ -464,95 +469,109 @@ def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
     return Tensor._from_op(out_data, (t,), grad_fn)
 
 
-# -- 2-D convolution and adjoint -------------------------------------------
+# -- 2-D convolution and its adjoint ------------------------------------------
 
 
-def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int):
-    """[B,C,Hp,Wp] -> [B, C*k*k, h_out*w_out] patch matrix."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        padded.shape[0], padded.shape[1] * k * k, h_out * w_out
+def _im2col(a: np.ndarray, k: int, stride: int, padding: int, h: int, w: int):
+    """[B,C,H,W] zero-padded by ``padding`` -> the [B, C*k*k, h*w] matrix
+    of its k x k patches at ``stride``: one read-only strided view of the
+    padded array, which the reshape copies unless it already is that matrix.
+    The view stays in bounds: both ops size h and w so that (h - 1) * stride
+    + k never exceeds the padded height, nor (w - 1) * stride + k its width."""
+    if padding:
+        padded = np.zeros(a.shape[:2] + tuple(n + 2 * padding for n in a.shape[2:]), a.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = a
+        a = padded
+    s_h, s_w = a.strides[2:]
+    windows = np.lib.stride_tricks.as_strided(
+        a, a.shape[:2] + (k, k, h, w), a.strides + (stride * s_h, stride * s_w), writeable=False
     )
-    return np.ascontiguousarray(cols)
+    return windows.reshape(a.shape[0], a.shape[1] * k * k, h * w)
 
 
-def _col2im(cols, batch, channels, h_pad, w_pad, k, stride, h_out, w_out):
-    """Adjoint of _im2col: scatter-add patches back onto the padded grid."""
-    grid = np.zeros((batch, channels, h_pad, w_pad), cols.dtype)
-    cols = cols.reshape(batch, channels, k, k, h_out, w_out)
+def _col2im(cols, channels, h, w, k, stride, padding, h_cols, w_cols):
+    """Adjoint of _im2col: scatter-add the [B, channels*k*k,
+    h_cols*w_cols] patches onto the padded grid and crop it to h x w."""
+    cols = cols.reshape(cols.shape[0], channels, k, k, h_cols, w_cols)
+    grid = np.zeros(cols.shape[:2] + (h + 2 * padding, w + 2 * padding), cols.dtype)
+    h_span, w_span = stride * h_cols, stride * w_cols
     for i in range(k):
         for j in range(k):
-            grid[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[
-                :, :, i, j
-            ]
-    return grid
+            grid[:, :, i : i + h_span : stride, j : j + w_span : stride] += cols[:, :, i, j]
+    return grid[:, :, padding : padding + h, padding : padding + w]
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    out = np.zeros(x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p), x.dtype)
-    out[:, :, p:-p, p:-p] = x
-    return out
+def _conv_operands(op: str, x, weight, bias, x_axis: int):
+    """x, weight and bias as tensors, checked: 4-D input and weight, a square kernel,
+    x's channels on weight axis ``x_axis`` and a bias as long as the other axis."""
+    x, weight = _wrap(x), _wrap(weight)
+    if x.data.ndim != 4:
+        raise DimensionError(f"{op} input must be 4-D, got {x.data.ndim}-D")
+    if weight.data.ndim != 4:
+        raise DimensionError(f"{op} weight must be 4-D, got {weight.data.ndim}-D")
+    k, k2 = weight.data.shape[2:]
+    if k != k2:
+        raise DimensionError(f"{op} kernel must be square, got {k}x{k2}")
+    c_x, c_other = weight.data.shape[x_axis], weight.data.shape[1 - x_axis]
+    if x.data.shape[1] != c_x:
+        raise DimensionError(
+            f"{op} channel axis mismatch: input has {x.data.shape[1]} channels, "
+            f"weight expects {c_x}"
+        )
+    if bias is not None:
+        bias = _wrap(bias)
+        if bias.data.shape != (c_other,):
+            raise DimensionError(
+                f"{op} bias axis mismatch: expected ({c_other},), got {bias.data.shape}"
+            )
+    return x, weight, bias
+
+
+def _conv_output(out_data, x, weight, bias, backward) -> Tensor:
+    """out_data plus the bias, with graph edges into x, weight and bias.
+    ``backward(g, want_x)`` gives x's gradient (None unless want_x) and the
+    pair (a, cols) whose a @ colsᵀ, summed over the batch, is the weight's."""
+    parents = (x, weight)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+        parents += (bias,)
+    x_live, w_live, b_live = _live(x, weight, bias)
+
+    def grad_fn(g):
+        gx, a, cols = backward(g, x_live is not None)
+        _accumulate(x_live, gx)
+        if w_live is not None:
+            gw = np.matmul(a, cols.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(w_live, gw.reshape(weight.data.shape))
+        if b_live is not None:
+            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
+
+    return Tensor._from_op(out_data, parents, grad_fn)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate [B,C_in,H,W] with [C_out,C_in,k,k] kernels."""
-    x, weight = _wrap(x), _wrap(weight)
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv2d input must be 4-D, got {x.data.ndim}-D")
-    if weight.data.ndim != 4:
-        raise DimensionError(f"conv2d weight must be 4-D, got {weight.data.ndim}-D")
-    c_out, c_in, k, k2 = weight.data.shape
-    if k != k2:
-        raise DimensionError(f"conv2d kernel must be square, got {k}x{k2}")
+    x, weight, bias = _conv_operands("conv2d", x, weight, bias, x_axis=1)
+    c_out, c_in, k, _ = weight.data.shape
     if k % 2 != 1:
         raise DimensionError(f"conv2d kernel size must be odd, got {k}")
-    if x.data.shape[1] != c_in:
-        raise DimensionError(
-            f"conv2d channel axis mismatch: input has {x.data.shape[1]} channels, "
-            f"weight expects {c_in}"
-        )
     batch, _, h_in, w_in = x.data.shape
     h_out = (h_in + 2 * padding - k) // stride + 1
     w_out = (w_in + 2 * padding - k) // stride + 1
     if h_out < 1 or w_out < 1:
-        raise DimensionError(
-            f"conv2d output would be empty for spatial input {h_in}x{w_in}"
-        )
-    cols = _im2col(_pad2d(x.data, padding), k, stride, h_out, w_out)
+        raise DimensionError(f"conv2d output would be empty for spatial input {h_in}x{w_in}")
     w_mat = weight.data.reshape(c_out, c_in * k * k)
+    cols = _im2col(x.data, k, stride, padding, h_out, w_out)
     out_data = np.matmul(w_mat, cols).reshape(batch, c_out, h_out, w_out)
-    parents = [x, weight]
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.data.shape != (c_out,):
-            raise DimensionError(
-                f"conv2d bias axis mismatch: expected ({c_out},), got {bias.data.shape}"
-            )
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-        parents.append(bias)
-    x_live, w_live, b_live = _live(x, weight, bias)
 
-    def grad_fn(g):
-        g_flat = g.reshape(batch, c_out, h_out * w_out)
-        if w_live is not None:
-            gw = np.matmul(g_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w_live, gw.reshape(weight.data.shape))
-        if x_live is not None:
-            g_cols = np.matmul(w_mat.T, g_flat)
-            g_pad = _col2im(
-                g_cols, batch, c_in, h_in + 2 * padding, w_in + 2 * padding,
-                k, stride, h_out, w_out,
-            )
-            if padding:
-                g_pad = g_pad[:, :, padding:-padding, padding:-padding]
-            _accumulate(x_live, g_pad)
-        if b_live is not None:
-            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
+    def backward(g, want_x):
+        g = g.reshape(batch, c_out, h_out * w_out)
+        if not want_x:
+            return None, g, cols
+        g_cols = np.matmul(w_mat.T, g)
+        return _col2im(g_cols, c_in, h_in, w_in, k, stride, padding, h_out, w_out), g, cols
 
-    return Tensor._from_op(out_data, tuple(parents), grad_fn)
+    return _conv_output(out_data, x, weight, bias, backward)
 
 
 def conv_transpose2d(
@@ -561,21 +580,8 @@ def conv_transpose2d(
     """Adjoint of conv2d. ``weight`` is [C_in, C_out, k, k] with C_in the
     channel count of ``x``; sharing one array between conv2d (as
     [C_out, C_in, k, k]) and this op realizes the transpose pair."""
-    x, weight = _wrap(x), _wrap(weight)
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv_transpose2d input must be 4-D, got {x.data.ndim}-D")
-    if weight.data.ndim != 4:
-        raise DimensionError(
-            f"conv_transpose2d weight must be 4-D, got {weight.data.ndim}-D"
-        )
-    c_in, c_out, k, k2 = weight.data.shape
-    if k != k2:
-        raise DimensionError(f"conv_transpose2d kernel must be square, got {k}x{k2}")
-    if x.data.shape[1] != c_in:
-        raise DimensionError(
-            f"conv_transpose2d channel axis mismatch: input has {x.data.shape[1]} "
-            f"channels, weight expects {c_in}"
-        )
+    x, weight, bias = _conv_operands("conv_transpose2d", x, weight, bias, x_axis=0)
+    c_in, c_out, k, _ = weight.data.shape
     batch, _, h_in, w_in = x.data.shape
     h_out = (h_in - 1) * stride - 2 * padding + k
     w_out = (w_in - 1) * stride - 2 * padding + k
@@ -586,35 +592,14 @@ def conv_transpose2d(
     w_mat = weight.data.reshape(c_in, c_out * k * k)
     x_flat = x.data.reshape(batch, c_in, h_in * w_in)
     out_cols = np.matmul(w_mat.T, x_flat)
-    grid = _col2im(
-        out_cols, batch, c_out, h_out + 2 * padding, w_out + 2 * padding,
-        k, stride, h_in, w_in,
-    )
-    out_data = grid[:, :, padding : padding + h_out, padding : padding + w_out]
-    parents = [x, weight]
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.data.shape != (c_out,):
-            raise DimensionError(
-                f"conv_transpose2d bias axis mismatch: expected ({c_out},), "
-                f"got {bias.data.shape}"
-            )
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-        parents.append(bias)
-    x_live, w_live, b_live = _live(x, weight, bias)
+    out_data = _col2im(out_cols, c_out, h_out, w_out, k, stride, padding, h_in, w_in)
 
-    def grad_fn(g):
-        g_cols = _im2col(_pad2d(g, padding), k, stride, h_in, w_in)
-        if x_live is not None:
-            gx = np.matmul(w_mat, g_cols).reshape(batch, c_in, h_in, w_in)
-            _accumulate(x_live, gx)
-        if w_live is not None:
-            gw = np.matmul(x_flat, g_cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w_live, gw.reshape(weight.data.shape))
-        if b_live is not None:
-            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
+    def backward(g, want_x):
+        g_cols = _im2col(g, k, stride, padding, h_in, w_in)
+        gx = np.matmul(w_mat, g_cols).reshape(x.data.shape) if want_x else None
+        return gx, x_flat, g_cols
 
-    return Tensor._from_op(out_data, tuple(parents), grad_fn)
+    return _conv_output(out_data, x, weight, bias, backward)
 
 
 # -- composite ops used across the semantic branch ----------------------------

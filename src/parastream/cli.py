@@ -113,11 +113,8 @@ def cmd_train(args):
 def cmd_transmit(args):
     image = data.read_ppm(args.image)
     model = None
-    if not args.conventional_only:
-        if args.model:
-            model, _ = training.load_model(args.model)
-        else:
-            model = SemanticModel(ModelConfig())
+    if args.model and not args.conventional_only:
+        model, _ = training.load_model(args.model)
     cfg = PipelineConfig(
         q=args.q,
         code=args.ldpc_table,

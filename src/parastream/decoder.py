@@ -100,7 +100,6 @@ class PagNet(Module):
 
     def _logit(self, features: Tensor, gate: Tensor) -> Tensor:
         gated = features * gate
-        batch, channels, height, width = gated.data.shape
         flat = gated.transpose(0, 2, 3, 1)
         logit = self.fc(flat)  # [B,H,W,1]
         return logit.transpose(0, 3, 1, 2)

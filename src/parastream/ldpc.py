@@ -156,7 +156,7 @@ def _detect_dual_diagonal(base):
         return None
     interior = int(nonzero[1])
     s0 = int(first[0])
-    if first[m - 1] != s0 or first[interior] != 0 or s0 < 1:
+    if first[m - 1] != s0 or first[interior] != 0:
         return None
     for j in range(1, m):
         col = base[:, split + j]

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parastream import autodiff as ad
@@ -14,6 +14,7 @@ from parastream.layers import frozen
 from parastream.rng import make_rng
 
 from helpers import (
+    _patches,
     conv2d_grads_oracle,
     conv2d_oracle,
     conv_transpose2d_grads_oracle,
@@ -224,7 +225,7 @@ class TestConvTranspose2d:
         b = rng.standard_normal((1, 1, h_out, h_out))
         # conv2d via its internal machinery, bypassing the odd-k guard so
         # the k=4 decoder kernel is covered too
-        cols = ad._im2col(ad._pad2d(a, padding), k, stride, h_out, h_out)
+        cols = ad._im2col(a, k, stride, padding, h_out, h_out)
         conv_a = np.matmul(w.reshape(1, -1), cols).reshape(1, 1, h_out, h_out)
         adj = ad.conv_transpose2d(Tensor(b), Tensor(w), None, stride=stride, padding=padding)
         lhs = float(np.sum(conv_a * b))
@@ -284,6 +285,95 @@ class TestWeightGradientOracles:
             ad.conv_transpose2d, conv_transpose2d_grads_oracle,
             batch, stride, padding, 2, (2, 3, k, k),
         )
+
+
+class TestPatchKernelAndAdjoint:
+    """conv2d and conv_transpose2d are one patch kernel and its adjoint:
+    each op's input gradient is the other op's forward pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        c_a=st.integers(1, 4),
+        c_b=st.integers(1, 4),
+        k=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        padding=st.sampled_from([0, 1]),
+        size=st.integers(1, 4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_each_input_gradient_is_the_other_forward(
+        self, batch, c_a, c_b, k, stride, padding, size, dtype, seed
+    ):
+        # x [B, c_b, h, h] -> conv2d -> [B, c_a, size, size] and
+        # y [B, c_a, size, size] -> conv_transpose2d -> [B, c_b, h, h]
+        h = (size - 1) * stride - 2 * padding + k
+        assume(h >= 1)
+        rng = make_rng(seed)
+        w = Tensor(rng.standard_normal((c_a, c_b, k, k)).astype(dtype))
+        x = Tensor(rng.standard_normal((batch, c_b, h, h)).astype(dtype), requires_grad=True)
+        y = Tensor(rng.standard_normal((batch, c_a, size, size)).astype(dtype), requires_grad=True)
+        down = ad.conv2d(x, w, stride=stride, padding=padding)
+        up = ad.conv_transpose2d(y, w, stride=stride, padding=padding)
+        g_down = rng.standard_normal(down.data.shape).astype(dtype)
+        g_up = rng.standard_normal(up.data.shape).astype(dtype)
+        ((down * g_down).sum() + (up * g_up).sum()).backward()
+        for grad, forward in (
+            (x.grad, ad.conv_transpose2d(Tensor(g_down), w, stride=stride, padding=padding)),
+            (y.grad, ad.conv2d(Tensor(g_up), w, stride=stride, padding=padding)),
+        ):
+            assert grad.dtype == forward.data.dtype == dtype
+            assert grad.shape == forward.data.shape
+            assert grad.tobytes() == forward.data.tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "cropped"])
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 2, 0), (4, 2, 1)])
+    def test_im2col_matches_tap_slices(self, layout, k, stride, padding):
+        base = make_rng(k + stride + padding).standard_normal((2, 3, 9, 8))
+        a = {
+            "contiguous": np.ascontiguousarray(base[:, :, 1:-1, 1:-1]),
+            "transposed": base.transpose(0, 1, 3, 2),
+            # the view conv_transpose2d returns without a bias
+            "cropped": base[:, :, 1:-1, 1:-1],
+        }[layout]
+        h = (a.shape[2] + 2 * padding - k) // stride + 1
+        w = (a.shape[3] + 2 * padding - k) // stride + 1
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        expected = _patches(np.pad(a, pad), k, stride, h, w)
+        cols = ad._im2col(a, k, stride, padding, h, w)
+        assert cols.shape == expected.shape
+        assert cols.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "phrase, operand, shape",
+        [
+            ("input must be 4-D", "x", (2, 5, 5)),
+            ("weight must be 4-D", "w", (3, 3, 3)),
+            ("kernel must be square", "w", (3, 2, 3, 1)),
+            ("channel axis mismatch", "x", (1, 4, 5, 5)),
+            ("bias axis mismatch", "b", (4,)),
+            ("output would be empty", "x", (1, 2, 0, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+    def test_dimension_errors_name_the_op(self, op, phrase, operand, shape):
+        # a valid call whose x has 2 channels and whose output has 3,
+        # then the same call with one operand reshaped
+        shapes = {
+            "x": (1, 2, 5, 5),
+            "w": (3, 2, 3, 3) if op == "conv2d" else (2, 3, 3, 3),
+            "b": (3,),
+        }
+
+        def call():
+            x, w, b = (Tensor(np.zeros(shapes[key])) for key in "xwb")
+            return getattr(ad, op)(x, w, b, padding=1)
+
+        call()
+        shapes[operand] = shape
+        with pytest.raises(ad.DimensionError, match=f"^{op} {phrase}"):
+            call()
 
 
 def _conv(x, w):

@@ -1,0 +1,45 @@
+"""scripts/bench_pairs.py judges each end-to-end metric against its bound."""
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TIGHT, WIDE, HIGH = [10, 10.1, 9.9, 10, 10.2], [5, 10, 15, 8, 12], [40, 41, 39, 40, 40.5]
+
+# name -> (better, parent runs, change runs, relative change of the
+# medians, verdict); every bound is 25%
+CASES = {
+    "steady": ("lower", TIGHT, [10.4, 10.2, 10.3, 10.5, 10.1], "+3.00%", "ok"),
+    "slower": ("lower", TIGHT, [13, 12.8, 13.1, 13.2, 12.9], "+30.00%", "worse"),
+    # the parent's IQR (4) exceeds 25% of its median (2.5)
+    "noisy": ("lower", WIDE, [9, 10.5, 11, 10, 12], "+5.00%", "unresolved"),
+    "noisy_all_faster": ("lower", WIDE, [4, 4.5, 4.2, 4.8, 4.1], "-58.00%", "ok"),
+    "higher_dropped": ("higher", HIGH, [29, 29.5, 28, 30, 29], "-27.50%", "worse"),
+    "higher_rose": ("higher", HIGH, [60, 61, 59, 60, 62], "+50.00%", "ok"),
+}
+
+
+def test_summary_gives_each_metric_its_change_and_verdict():
+    bench_pairs = load_script()
+    metrics = [{"name": name, "better": case[0], "bound": 0.25} for name, case in CASES.items()]
+    pairs = len(next(iter(CASES.values()))[1])
+    runs = {
+        side: [{name: case[index][i] for name, case in CASES.items()} for i in range(pairs)]
+        for side, index in (("parent", 1), ("change", 2))
+    }
+    table = bench_pairs.summary(metrics, runs).splitlines()[1:]
+    rows = {line.split()[0]: line.split() for line in table}
+    assert set(rows) == set(CASES)
+    for name, (_, _, _, relative, verdict) in CASES.items():
+        assert rows[name][-3:] == [relative, verdict, "(25%)"], name

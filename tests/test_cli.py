@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parastream import cli, data, training
+from parastream.pipeline import PipelineConfig, transmit_image
 
 from helpers import toy_images
 
@@ -70,6 +71,11 @@ class TestTransmitCommand:
         ])
         assert rc == 0
         assert "cbr=" in capsys.readouterr().out
+        # without --model the command takes transmit_image's own fresh model
+        x_hat, _, _ = transmit_image(data.read_ppm(ppm), PipelineConfig(), seed=0)
+        expected = tmp_path / "expected.ppm"
+        data.write_ppm(expected, x_hat)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_rayleigh_flag(self, ppm, tmp_path):
         rc = cli.main([

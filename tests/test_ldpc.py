@@ -129,7 +129,7 @@ def _dual_diagonal_bases(draw):
     m_b = draw(st.integers(3, 6))
     info_cols = draw(st.integers(1, 3))
     z = draw(st.integers(2, 16))
-    s0 = draw(st.integers(1, z - 1))
+    s0 = draw(st.integers(0, z - 1))
     interior = draw(st.integers(1, m_b - 2))
     base = np.full((m_b, info_cols + m_b), -1, dtype=np.int64)
     column = st.lists(st.integers(-1, z - 1), min_size=m_b, max_size=m_b)
@@ -185,6 +185,15 @@ class TestEncode:
         assert pcm.structured is None
         with pytest.raises(ldpc.LdpcError, match="dual-diagonal"):
             ldpc.ldpc_encode(pcm, np.zeros(pcm.k, np.uint8))
+
+    def test_paired_shift_zero_is_dual_diagonal(self):
+        # three identity blocks in the first parity column still sum to I
+        pcm = ldpc.build_qc_ldpc([[1, 0, 0, 0, -1], [0, 2, 0, 0, 0], [2, -1, 0, -1, 0]], 4)
+        assert pcm.structured == (0, 1)
+        info = make_rng(3).integers(0, 2, (8, pcm.k)).astype(np.uint8)
+        code = ldpc.ldpc_encode(pcm, info)
+        np.testing.assert_array_equal(code[:, : pcm.k], info)
+        assert not syndrome_oracle(pcm, code).any()
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=_dual_diagonal_bases(), seed=st.integers(0, 2**31 - 1))
