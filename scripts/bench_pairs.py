@@ -19,8 +19,9 @@ hashes the report's keys as well as its values, so it shows identity
 only while those keys are unchanged. On a workload that trains, the
 line also says whether the record's ``quality.train_loss_end`` equals
 the parent's: training numerics can stay identical while the digest
-moves with the evaluation transmits. Standard library only; run it from
-any directory of the repository.
+moves with the evaluation transmits. Under the summary it prints the
+``src/**/*.py`` line count of each side and their signed difference.
+Standard library only; run it from any directory of the repository.
 """
 
 from __future__ import annotations
@@ -121,6 +122,17 @@ def summary(metrics, runs) -> str:
     return "\n".join(lines)
 
 
+def src_lines(root: pathlib.Path) -> int:
+    """Lines of every ``src/**/*.py`` file under ``root``, as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
+def line_counts(parent: pathlib.Path, change: pathlib.Path) -> str:
+    before, after = src_lines(parent), src_lines(change)
+    return f"src/**/*.py lines: parent {before}, change {after} ({after - before:+d})"
+
+
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -158,10 +170,12 @@ def main():
                     same[key] = same.get(key, 0) + match
                     line += f", quality {key} {'same' if match else 'differs'}"
             print(line, flush=True)
+        lines = line_counts(sides["parent"], sides["change"])
     matched = ", ".join(f"quality {key} same on {n}/{args.pairs} pairs" for key, n in same.items())
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent}, "
           f"change working tree, seeds {args.seeds}; {matched}")
     print(summary(spec["end_to_end"], runs))
+    print(lines)
 
 
 if __name__ == "__main__":

@@ -86,9 +86,7 @@ def cmd_train(args):
     if len(args.steps) != 3 or len(args.lr) != 3:
         raise ValueError("--steps and --lr need one value per stage")
     model = SemanticModel(ModelConfig(init_seed=args.seed))
-    pcfg = PipelineConfig(
-        channel=ChannelConfig(kind="awgn", snr_db=10.0), lambda1=args.lambda1
-    )
+    pcfg = PipelineConfig(lambda1=args.lambda1)
     full_history = []
     for stage in (1, 2, 3):
         cfg = training.TrainConfig(

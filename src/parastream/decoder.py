@@ -23,13 +23,11 @@ from .layers import (
     Embedding,
     Linear,
     Module,
-    ModuleList,
     PReLU,
     leaky_relu,
 )
 
 LATENT_WIDTHS = (16, 32, 64, 64, 32)
-UP_WIDTHS = (64, 64, 32, 3)
 SNR_LEVELS = 21
 SNR_EMBED_DIM = 32
 RESIDUAL_SCALE = 0.2
@@ -149,34 +147,24 @@ class UpBlock(Module):
 
 
 class SemanticDecoder(Module):
-    def __init__(self, rng, latent_widths=LATENT_WIDTHS, up_widths=UP_WIDTHS, growth=16):
+    """Latent pyramid of ``latent_widths`` over the conventional
+    reconstruction; the up path mirrors it. Level i fuses a stream as
+    wide as the latent it meets, ``latent_widths[:0:-1][i]``, and ends as
+    wide as the next one, or at the image's channels."""
+
+    def __init__(self, rng, latent_widths=LATENT_WIDTHS, growth=16):
         super().__init__()
-        levels = len(up_widths)
-        if len(latent_widths) != levels + 1:
-            raise ValueError("need one more latent width than up widths")
-        for i in range(levels - 1):
-            if up_widths[i] != latent_widths[levels - 1 - i]:
-                raise ValueError(
-                    f"up width {i} must equal latent width {levels - 1 - i} "
-                    "so the aggregation streams match"
-                )
-        self.latent_widths = tuple(latent_widths)
-        self.up_widths = tuple(up_widths)
+        fused = tuple(latent_widths[:0:-1])
         self.entry = Conv2d(IMAGE_CHANNELS, latent_widths[0], 3, rng)
         self.rrdb = RRDB(latent_widths[0], growth, rng)
-        self.extractors = ModuleList(
-            [
-                DownStage(latent_widths[i], latent_widths[i + 1], rng)
-                for i in range(levels)
-            ]
+        self.extractors = tuple(
+            DownStage(c_in, c_out, rng) for c_in, c_out in zip(latent_widths, latent_widths[1:])
         )
-        agg_channels = [latent_widths[-1]] + list(up_widths[: levels - 1])
-        self.pagnets = ModuleList([PagNet(c, rng) for c in agg_channels])
-        self.ups = ModuleList(
-            [
-                UpBlock(agg_channels[i], up_widths[i], rng, last=(i == levels - 1))
-                for i in range(levels)
-            ]
+        self.pagnets = tuple(PagNet(c, rng) for c in fused)
+        outs = fused[1:] + (IMAGE_CHANNELS,)
+        self.ups = tuple(
+            UpBlock(c_in, c_out, rng, last=(i == len(fused) - 1))
+            for i, (c_in, c_out) in enumerate(zip(fused, outs))
         )
 
     def extract_latents(self, x_c: Tensor):
@@ -188,14 +176,12 @@ class SemanticDecoder(Module):
 
     def __call__(self, x_c: Tensor, s_hat: Tensor, snr_db) -> Tensor:
         latents = self.extract_latents(x_c)
-        levels = len(self.ups)
-        if s_hat.data.shape[1:] != latents[levels].data.shape[1:]:
+        if s_hat.data.shape[1:] != latents[-1].data.shape[1:]:
             raise DimensionError(
                 f"semantic features {s_hat.data.shape[1:]} must match the "
-                f"deepest latent {latents[levels].data.shape[1:]}"
+                f"deepest latent {latents[-1].data.shape[1:]}"
             )
         v = s_hat
-        for level in range(1, levels + 1):
-            fused = self.pagnets[level - 1](v, latents[levels + 1 - level], snr_db)
-            v = self.ups[level - 1](fused)
+        for pagnet, up, u in zip(self.pagnets, self.ups, latents[:0:-1]):
+            v = up(pagnet(v, u, snr_db))
         return v

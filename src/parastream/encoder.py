@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
-from .layers import Conv2d, Module, ModuleList, leaky_relu
+from .layers import Conv2d, Module, leaky_relu
 
 DEFAULT_WIDTHS = (16, 32, 64, 32)
 IMAGE_CHANNELS = 3
@@ -72,12 +72,10 @@ class SemanticEncoder(Module):
     def __init__(self, rng, widths=DEFAULT_WIDTHS):
         super().__init__()
         self.widths = tuple(widths)
-        rems = []
-        prev = IMAGE_CHANNELS
-        for i, width in enumerate(self.widths):
-            rems.append(Rem(prev, width, rng, last=(i == len(self.widths) - 1)))
-            prev = width
-        self.rems = ModuleList(rems)
+        self.rems = tuple(
+            Rem(c_in, c_out, rng, last=(i == len(self.widths) - 1))
+            for i, (c_in, c_out) in enumerate(zip((IMAGE_CHANNELS,) + self.widths, self.widths))
+        )
 
     @property
     def scale(self):

@@ -91,9 +91,15 @@ def evaluate_point(images, pcfg, model, trial_seed):
 
 
 def sweep_rows(cfg: ExperimentConfig, images=None, model=None):
-    """All MetricsRows of the configured grid, q-major then SNR then seed."""
+    """All MetricsRows of the configured grid, q-major then SNR then seed;
+    a corpus smaller than ``cfg.images`` raises ValueError first."""
     if images is None:
         images = load_corpus(cfg)
+    if len(images) < cfg.images:
+        raise ValueError(
+            f"[sweep] images = {cfg.images} needs that many corpus images, "
+            f"the corpus holds {len(images)}"
+        )
     images = images[: cfg.images]
     if model is None:
         model = load_experiment_model(cfg)

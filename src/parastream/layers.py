@@ -1,12 +1,14 @@
 """Parameter containers and the layer types used by the semantic branch.
 
 A ``Module`` tracks parameter tensors and child modules by attribute
-assignment, enough for optimizers and checkpointing; ``frozen`` keeps
-parameters out of the backward graph for the length of a block, for
-staged training and graph-free inference, and ``Module.float32`` runs a
-block on a float32 copy of a module's weights. Initialization follows the
-package-wide conventions: Glorot-uniform weights, zero biases, GDN at
-beta=1 / gamma=0.1*I, PReLU slopes at 0.25.
+assignment, enough for optimizers and checkpointing; a non-empty tuple
+of modules assigned to ``name`` registers its items as the children
+``name.0``, ``name.1``, ... in order, so a tuple serves as a module
+list. ``frozen`` keeps parameters out of the backward graph for the
+length of a block, for staged training and graph-free inference, and
+``Module.float32`` runs a block on a float32 copy of a module's weights.
+Initialization follows the package-wide conventions: Glorot-uniform
+weights, zero biases, GDN at beta=1 / gamma=0.1*I, PReLU slopes at 0.25.
 """
 
 from __future__ import annotations
@@ -34,10 +36,16 @@ class Module:
         object.__setattr__(self, "_children", {})
 
     def __setattr__(self, name, value):
+        """Register a grad-requiring Tensor as a parameter, a Module as a
+        child, and each item of a non-empty tuple of Modules as the child
+        ``name.<index>``. A tuple registers once, at assignment."""
         if isinstance(value, Tensor) and value.requires_grad:
             self._params[name] = value
         elif isinstance(value, Module):
             self._children[name] = value
+        elif isinstance(value, tuple) and value and all(isinstance(m, Module) for m in value):
+            for i, item in enumerate(value):
+                self._children[f"{name}.{i}"] = item
         object.__setattr__(self, name, value)
 
     def named_parameters(self, prefix: str = ""):
@@ -127,28 +135,6 @@ def frozen(params):
     finally:
         for p, flag in saved:
             p.requires_grad = flag
-
-
-class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        self._items = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module):
-        name = str(len(self._items))
-        self._items.append(module)
-        self._children[name] = module
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, idx):
-        return self._items[idx]
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):

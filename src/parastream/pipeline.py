@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import codec, ldpc, metrics, rate
 from .autodiff import Tensor
 from .channel import ChannelConfig, transmit
-from .decoder import LATENT_WIDTHS, UP_WIDTHS, SemanticDecoder
+from .decoder import LATENT_WIDTHS, SemanticDecoder
 from .encoder import DEFAULT_WIDTHS, SemanticEncoder, batch_to_tensor, tensor_to_image
 from .layers import Module, frozen
 from .modem import qpsk_modulate, qpsk_soft_demod
@@ -42,12 +42,12 @@ DEFAULT_TABLE = "qc_rate34_z64.txt"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Widths and seeds for every learned module, desk-scale defaults."""
+    """Widths and seeds for every learned module, desk-scale defaults.
+    The rest is derived: c_s is the last encoder width, and the decoder's
+    up path mirrors the latent pyramid (see SemanticDecoder)."""
 
-    c_s: int = 32
     encoder_widths: tuple = DEFAULT_WIDTHS
     latent_widths: tuple = LATENT_WIDTHS
-    up_widths: tuple = UP_WIDTHS
     growth: int = 16
     init_seed: int = 0
 
@@ -58,25 +58,19 @@ class SemanticModel(Module):
 
     def __init__(self, cfg: ModelConfig):
         super().__init__()
-        if cfg.encoder_widths[-1] != cfg.c_s:
-            raise ValueError("last encoder width must equal c_s")
-        if cfg.latent_widths[-1] != cfg.c_s:
-            raise ValueError("deepest latent width must equal c_s")
-        if len(cfg.encoder_widths) != len(cfg.up_widths):
-            raise ValueError("encoder and decoder must use the same scale count")
+        c_s = cfg.encoder_widths[-1]
+        if cfg.latent_widths[-1] != c_s:
+            raise ValueError(f"deepest latent width must equal c_s = {c_s}")
+        if len(cfg.latent_widths) != len(cfg.encoder_widths) + 1:
+            raise ValueError("need one more latent width than encoder widths (scale count)")
         rng = make_rng(cfg.init_seed)
         self.cfg = cfg
         self.stage = 0  # training progress marker; see training.train
         self.encoder = SemanticEncoder(rng, widths=cfg.encoder_widths)
-        self.decoder = SemanticDecoder(
-            rng,
-            latent_widths=cfg.latent_widths,
-            up_widths=cfg.up_widths,
-            growth=cfg.growth,
-        )
-        self.hyper = HyperSynthesis(cfg.c_s, cfg.c_s, rng)
-        self.prior = FactorizedPrior(cfg.c_s, rng)
-        self.banks = RateBanks(cfg.c_s)
+        self.decoder = SemanticDecoder(rng, latent_widths=cfg.latent_widths, growth=cfg.growth)
+        self.hyper = HyperSynthesis(c_s, c_s, rng)
+        self.prior = FactorizedPrior(c_s, rng)
+        self.banks = RateBanks(c_s)
 
 
 @dataclass(frozen=True)

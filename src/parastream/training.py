@@ -216,8 +216,10 @@ def load_model(path):
     if absent:
         raise ValueError(f"{path}: not a model checkpoint, no {', '.join(absent)} entry")
     raw = json.loads(str(entries["__config__"]))
-    # checkpoints saved while the hyperprior width was a field hold it as null
-    raw = {k: v for k, v in raw.items() if (k, v) != ("hyper_hidden", None)}
+    # older checkpoints hold fields now derived (c_s, up_widths; one that
+    # disagrees fails the shape check below) or fixed (a null hyper_hidden)
+    derived = ("c_s", "up_widths")
+    raw = {k: v for k, v in raw.items() if k not in derived and (k, v) != ("hyper_hidden", None)}
     unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown model config keys {unknown}")

@@ -377,14 +377,7 @@ def toy_model(seed=0):
     and for quick end-to-end training runs on 8x8 images."""
     from parastream.pipeline import ModelConfig, SemanticModel
 
-    cfg = ModelConfig(
-        c_s=4,
-        encoder_widths=(4, 4),
-        latent_widths=(4, 4, 4),
-        up_widths=(4, 3),
-        growth=2,
-        init_seed=seed,
-    )
+    cfg = ModelConfig(encoder_widths=(4, 4), latent_widths=(4, 4, 4), growth=2, init_seed=seed)
     return SemanticModel(cfg)
 
 

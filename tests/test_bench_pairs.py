@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py judges each end-to-end metric against its bound."""
+"""scripts/bench_pairs.py judges each end-to-end metric against its bound
+and counts each side's source lines."""
 
 import importlib.util
 import pathlib
@@ -43,3 +44,21 @@ def test_summary_gives_each_metric_its_change_and_verdict():
     assert set(rows) == set(CASES)
     for name, (_, _, _, relative, verdict) in CASES.items():
         assert rows[name][-3:] == [relative, verdict, "(25%)"], name
+
+
+def test_line_counts_cover_src_python_files_only(tmp_path):
+    bench_pairs = load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    files = {
+        parent / "src" / "a.py": "x = 1\ny = 2\n",
+        parent / "src" / "pkg" / "b.py": "z = 3\n",
+        parent / "src" / "notes.txt": "not\ncounted\n",
+        parent / "tests" / "t.py": "not = 'counted'\n",
+        change / "src" / "a.py": "x = 1\n",
+    }
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert bench_pairs.src_lines(parent) == 3
+    assert bench_pairs.line_counts(parent, change) == "src/**/*.py lines: parent 3, change 1 (-2)"
+    assert bench_pairs.line_counts(change, parent).endswith("(+2)")

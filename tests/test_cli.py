@@ -132,6 +132,20 @@ class TestSweepCommand:
         assert len(out) == 5
         assert out[0].endswith("s.csv")
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_corpus_smaller_than_images_fails_cleanly(self, tmp_path, capsys, count):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            f"[corpus]\ncount = {count}\nsize = 16\n"
+            "[pipeline]\nsemantic = false\n"
+            f"[sweep]\nsnr_db = 8\ntrials = 1\nimages = 8\nout = {tmp_path}/s\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["sweep", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "images = 8" in err and f"holds {count}" in err
+        assert not list(tmp_path.glob("s*"))
+
     def test_bad_config_reports_line(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ini.write_text("[sweep]\nsnr_db = oops\n", encoding="utf-8")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from parastream import decoder
+from parastream import decoder, pipeline
 from parastream.autodiff import DimensionError, Tensor
 from parastream.rng import make_rng
 
@@ -11,12 +11,7 @@ from helpers import gradcheck
 
 
 def tiny_decoder(seed=0):
-    return decoder.SemanticDecoder(
-        make_rng(seed),
-        latent_widths=(2, 2, 2),
-        up_widths=(2, 3),
-        growth=2,
-    )
+    return decoder.SemanticDecoder(make_rng(seed), latent_widths=(2, 2, 2), growth=2)
 
 
 class TestLatentExtraction:
@@ -170,11 +165,11 @@ class TestDecode:
             for j in range(i + 1, len(ids)):
                 assert not (ids[i] & ids[j])
 
-    def test_width_contract_enforced(self):
-        with pytest.raises(ValueError, match="up width"):
-            decoder.SemanticDecoder(
-                make_rng(29), latent_widths=(2, 2, 2), up_widths=(4, 3)
-            )
+    def test_deepest_latent_must_equal_c_s(self):
+        # s_hat, c_s = encoder_widths[-1] channels wide, meets the deepest latent
+        cfg = pipeline.ModelConfig(encoder_widths=(2, 4), latent_widths=(2, 2, 2), growth=2)
+        with pytest.raises(ValueError, match="deepest latent width must equal c_s = 4"):
+            pipeline.SemanticModel(cfg)
 
     def test_pagnet_gradients_match_finite_differences(self):
         dec = tiny_decoder(seed=30)

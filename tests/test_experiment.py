@@ -162,6 +162,16 @@ class TestSweep:
             rows = [l for l in block.splitlines() if not l.startswith("#")]
             assert all(len(r.split()) == 2 for r in rows)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_corpus_smaller_than_images_rejected(self, count, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("transmitted before the corpus was checked")
+
+        monkeypatch.setattr(experiment, "transmit_image", reached)
+        cfg = sweep_config(corpus_count=count, images=8)
+        with pytest.raises(ValueError, match=rf"images = 8 .* holds {count}$"):
+            experiment.sweep_rows(cfg)
+
     def test_run_experiment_end_to_end(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(

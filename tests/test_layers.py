@@ -106,12 +106,29 @@ class TestModule:
         lin.load_state_dict({"weight": np.ones((3, 2)), "bias": np.zeros(2)})
         np.testing.assert_array_equal(copy(), np.ones((3, 2), np.float32))
 
-    def test_module_list(self):
-        blocks = ly.ModuleList([ly.Linear(2, 2, make_rng(i)) for i in range(3)])
-        assert len(blocks) == 3
-        names = [n for n, _ in blocks.named_parameters()]
-        assert names[0] == "0.weight"
-        assert names[-1] == "2.bias"
+    def test_tuple_of_modules_registers_children(self):
+        class Stack(ly.Module):
+            def __init__(self):
+                super().__init__()
+                self.blocks = tuple(ly.Linear(2, 2, make_rng(i)) for i in range(3))
+                self.sizes = (2, 2)
+                self.none = ()
+
+        stack = Stack()
+        params = [p for block in stack.blocks for p in (block.weight, block.bias)]
+        names = [n for n, _ in stack.named_parameters()]
+        assert names == [f"blocks.{i}.{leaf}" for i in range(3) for leaf in ("weight", "bias")]
+        assert [id(p) for p in stack.parameters()] == [id(p) for p in params]
+        assert list(stack.state_dict()) == names
+        with ly.frozen(stack.parameters()):
+            assert not any(p.requires_grad for p in params)
+        assert all(p.requires_grad for p in params)
+        with stack.float32():
+            assert all(p.data.dtype == np.float32 for p in params)
+        assert all(p.data.dtype == np.float64 for p in params)
+        # a tuple of non-modules, or an empty one, stays a plain attribute
+        assert stack.sizes == (2, 2) and stack.none == ()
+        assert list(stack._children) == ["blocks.0", "blocks.1", "blocks.2"]
 
 
 class TestInitialization:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from parastream import autodiff, codec, data, ldpc, pipeline, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
+from parastream.decoder import SemanticDecoder
 from parastream.layers import ConvTranspose2d, frozen
 from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
@@ -200,18 +201,18 @@ class TestConfigValidation:
         }
         assert names == {
             ChannelConfig: ("kind", "snr_db", "block_len", "seed"),
-            pipeline.ModelConfig: (
-                "c_s", "encoder_widths", "latent_widths", "up_widths", "growth", "init_seed"
-            ),
+            pipeline.ModelConfig: ("encoder_widths", "latent_widths", "growth", "init_seed"),
             pipeline.PipelineConfig: ("q", "code", "channel", "lambda1", "semantic"),
             TrainConfig: ("stage", "steps", "batch_size", "lr", "snr_set", "seed"),
         }
         # the transpose conv always doubles: kernel, stride and padding are constants
         assert tuple(inspect.signature(ConvTranspose2d).parameters) == ("c_in", "c_out", "rng")
+        # the decoder's up path is derived from the latent widths
+        assert tuple(inspect.signature(SemanticDecoder).parameters) == (
+            "rng", "latent_widths", "growth"
+        )
 
     def test_model_width_contracts(self):
-        with pytest.raises(ValueError, match="c_s"):
-            pipeline.SemanticModel(pipeline.ModelConfig(c_s=16))
         with pytest.raises(ValueError, match="latent"):
             pipeline.SemanticModel(
                 pipeline.ModelConfig(latent_widths=(16, 32, 64, 64, 16))
@@ -223,6 +224,40 @@ class TestConfigValidation:
                     latent_widths=(16, 32, 64, 64, 32),
                 )
             )
+
+
+@st.composite
+def consistent_widths(draw):
+    """(encoder_widths, latent_widths) over 1-3 scales and widths 1-4,
+    with the deepest latent as wide as the last encoder module."""
+    scales = draw(st.integers(1, 3))
+    width = st.integers(1, 4)
+    encoder_widths = tuple(draw(st.lists(width, min_size=scales, max_size=scales)))
+    latents = tuple(draw(st.lists(width, min_size=scales, max_size=scales)))
+    return encoder_widths, latents + encoder_widths[-1:]
+
+
+class TestDerivedShape:
+    @settings(max_examples=15, deadline=None)
+    @given(widths=consistent_widths(), batch=st.integers(1, 2))
+    def test_every_consistent_width_set_builds(self, widths, batch):
+        encoder_widths, latent_widths = widths
+        model = pipeline.SemanticModel(
+            pipeline.ModelConfig(encoder_widths, latent_widths, growth=1)
+        )
+        scales = len(encoder_widths)
+        side = 2**scales
+        dec = model.decoder
+        x_c = Tensor(np.zeros((batch, 3, side, side)))
+        s_hat = Tensor(np.zeros((batch, encoder_widths[-1], 1, 1)))
+        assert dec(x_c, s_hat, 10).data.shape == (batch, 3, side, side)
+        latents = dec.extract_latents(x_c)
+        assert len(dec.pagnets) == len(dec.ups) == scales
+        for i, net in enumerate(dec.pagnets):
+            fused = latents[scales - i].data.shape[1]
+            assert fused == latent_widths[scales - i]
+            assert net.conv_u.weight.data.shape[:2] == (fused, fused)
+            assert net.proj.weight.data.shape[1] == fused
 
 
 class TestConventionalOnly:

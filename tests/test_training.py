@@ -405,10 +405,11 @@ class TestTrainingForward:
                 assert abs(fd - grad) / scale < 2e-3, (name, idx, fd, grad)
 
 
-def rewritten_checkpoint(tmp_path, change):
-    """A saved toy checkpoint whose entries pass through `change`."""
+def rewritten_checkpoint(tmp_path, change, model=None):
+    """A saved checkpoint of `model`, by default a toy one, whose entries
+    pass through `change`."""
     path = tmp_path / "model.npz"
-    save_model(path, toy_model(seed=3), [1.0])
+    save_model(path, toy_model(seed=3) if model is None else model, [1.0])
     with np.load(path) as blob:
         entries = {name: blob[name] for name in blob.files}
     change(entries)
@@ -538,6 +539,35 @@ class TestTrainLoop:
         path = rewritten_checkpoint(tmp_path, with_config(hyper_hidden=None))
         loaded, history = training.load_model(path)
         assert loaded.cfg == toy_model(seed=3).cfg and history == [1.0]
+
+    def test_checkpoint_with_derived_widths_loads(self, tmp_path):
+        # checkpoints saved while c_s and up_widths were fields hold them
+        model = pipeline.SemanticModel(pipeline.ModelConfig(init_seed=4))
+        legacy = with_config(c_s=32, up_widths=[64, 64, 32, 3])
+        loaded, _ = training.load_model(rewritten_checkpoint(tmp_path, legacy, model))
+        assert loaded.cfg == model.cfg
+        state, loaded_state = model.state_dict(), loaded.state_dict()
+        assert list(loaded_state) == list(state)
+        for key in state:
+            assert loaded_state[key].tobytes() == state[key].tobytes(), key
+
+    def test_checkpoint_with_other_up_widths_names_the_parameter(self, tmp_path):
+        # a model saved with up_widths ending in 4 had a 4-channel last up block
+        def four_channel_output(entries):
+            with_config(c_s=32, up_widths=[64, 64, 32, 4])(entries)
+            shapes = {
+                "tconv.weight": (32, 4, 4, 4),
+                "tconv.bias": (4,),
+                "gdn.beta_raw": (4,),
+                "gdn.gamma_raw": (4, 4),
+            }
+            for leaf, shape in shapes.items():
+                entries[f"decoder.ups.3.{leaf}"] = np.zeros(shape)
+
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        path = rewritten_checkpoint(tmp_path, four_channel_output, model)
+        with pytest.raises(ValueError, match=r"decoder\.ups\.3\.tconv\.weight"):
+            training.load_model(path)
 
     @pytest.mark.parametrize(
         "change, message",
