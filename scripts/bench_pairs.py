@@ -19,8 +19,11 @@ hashes the report's keys as well as its values, so it shows identity
 only while those keys are unchanged. On a workload that trains, the
 line also says whether the record's ``quality.train_loss_end`` equals
 the parent's: training numerics can stay identical while the digest
-moves with the evaluation transmits. Under the summary it prints the
-``src/**/*.py`` line count of each side and their signed difference.
+moves with the evaluation transmits. Where the loss differs, the line
+gives the change's signed difference relative to the parent, so a
+floating-point reorder shows how far the loss moved. Under the summary
+it prints the ``src/**/*.py`` line count of each side and their signed
+difference.
 Standard library only; run it from any directory of the repository.
 """
 
@@ -96,6 +99,17 @@ def verdict(parent, change, lower: bool, bound: float) -> str:
     return "ok"
 
 
+def quality_cell(key: str, parent, change) -> str:
+    """Whether one quality figure of the change equals the parent's; a
+    number that differs also gets its signed relative difference."""
+    if change == parent:
+        return f"quality {key} same"
+    cell = f"quality {key} differs"
+    if isinstance(parent, float) and isinstance(change, float) and parent:
+        cell += f" ({(change - parent) / abs(parent):+.2e})"
+    return cell
+
+
 def summary(metrics, runs) -> str:
     pairs = len(runs["parent"])
     lines = [
@@ -166,9 +180,9 @@ def main():
             )
             for key in ("digest", "train_loss_end"):
                 if key in quality["parent"]:
-                    match = quality["parent"][key] == quality["change"].get(key)
-                    same[key] = same.get(key, 0) + match
-                    line += f", quality {key} {'same' if match else 'differs'}"
+                    parent, change = quality["parent"][key], quality["change"].get(key)
+                    same[key] = same.get(key, 0) + (parent == change)
+                    line += ", " + quality_cell(key, parent, change)
             print(line, flush=True)
         lines = line_counts(sides["parent"], sides["change"])
     matched = ", ".join(f"quality {key} same on {n}/{args.pairs} pairs" for key, n in same.items())

@@ -6,10 +6,14 @@ arithmetic, matmul, reductions, reshaping, indexing, 2-D convolution and
 its adjoint, and a handful of activations). There is no GPU path and no
 broadcasting beyond what the layers in this package use.
 
-One patch kernel (``_im2col``, then a GEMM) and its adjoint (a GEMM,
-then ``_col2im``) serve both convolutions, forward and backward: each is
-one op's forward pass and the other's input gradient. Both weight
-gradients are one batched GEMM against the patch matrix.
+One patch kernel (``_im2col``, then a GEMM) and its adjoint serve both
+convolutions, forward and backward: each is one op's forward pass and
+the other's input gradient. At stride 1 the adjoint is the patch kernel
+again, with the kernels flipped and transposed and the padding k-1-p (a
+crop where that is negative), so no scatter runs (Dumoulin & Visin,
+arXiv 1603.07285). Above stride 1 it is a GEMM, then the ``_col2im``
+scatter. Both weight gradients sum one GEMM per image against the patch
+matrix.
 
 Dtypes: a tensor holds float32 or float64 data. Float32 data stays
 float32 and any other dtype becomes float64, so an op's output has the
@@ -187,7 +191,7 @@ class Tensor:
 
     def __neg__(self):
         def grad_fn(g):
-            _accumulate(self, -g)
+            _accumulate(self, -g, owned=True)
 
         return Tensor._from_op(-self.data, (self,), grad_fn)
 
@@ -203,8 +207,8 @@ class Tensor:
         a, b = _live(self, other)
 
         def grad_fn(g):
-            _accumulate(a, _unbroadcast(g * other.data, self.data.shape))
-            _accumulate(b, _unbroadcast(g * self.data, other.data.shape))
+            _accumulate(a, _unbroadcast(g * other.data, self.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * self.data, other.data.shape), owned=True)
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
@@ -216,10 +220,11 @@ class Tensor:
         a, b = _live(self, other)
 
         def grad_fn(g):
-            _accumulate(a, _unbroadcast(g / other.data, self.data.shape))
+            _accumulate(a, _unbroadcast(g / other.data, self.data.shape), owned=True)
             _accumulate(
                 b,
                 _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
+                owned=True,
             )
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
@@ -233,7 +238,7 @@ class Tensor:
         out_data = self.data ** exponent
 
         def grad_fn(g):
-            _accumulate(self, g * exponent * self.data ** (exponent - 1))
+            _accumulate(self, g * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._from_op(out_data, (self,), grad_fn)
 
@@ -247,8 +252,8 @@ class Tensor:
         def grad_fn(g):
             ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
             gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            _accumulate(a, _unbroadcast(ga, self.data.shape))
-            _accumulate(b, _unbroadcast(gb, other.data.shape))
+            _accumulate(a, _unbroadcast(ga, self.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(gb, other.data.shape), owned=True)
 
         return Tensor._from_op(out_data, (self, other), grad_fn)
 
@@ -330,13 +335,15 @@ def _live(*tensors):
 
 def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
     """Add g into t.grad; nothing for t None. A first gradient becomes an
-    array of t's shape and dtype: g itself when the caller owns a fresh
-    array of exactly that shape and dtype (owned=True), else a broadcast
-    copy of g."""
+    array of t's shape and dtype: g itself when the caller owns it
+    (owned=True: an array the op built, which no other tensor sees) and
+    g already has that shape and dtype, else a copy of g broadcast and
+    cast to them, so an op that mixes float32 and float64 operands
+    gives each operand a gradient of its own dtype."""
     if t is None:
         return
     if t.grad is None:
-        if owned:
+        if owned and g.shape == t.data.shape and g.dtype == t.data.dtype:
             t.grad = g
         else:
             t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)
@@ -391,7 +398,7 @@ def exp(t: Tensor) -> Tensor:
     out_data = np.exp(t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * out_data)
+        _accumulate(t, g * out_data, owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -400,7 +407,7 @@ def log(t: Tensor) -> Tensor:
     t = _wrap(t)
 
     def grad_fn(g):
-        _accumulate(t, g / t.data)
+        _accumulate(t, g / t.data, owned=True)
 
     return Tensor._from_op(np.log(t.data), (t,), grad_fn)
 
@@ -410,7 +417,7 @@ def sqrt(t: Tensor) -> Tensor:
     out_data = np.sqrt(t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * 0.5 / out_data)
+        _accumulate(t, g * 0.5 / out_data, owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -420,7 +427,7 @@ def tanh(t: Tensor) -> Tensor:
     out_data = np.tanh(t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * (1.0 - out_data * out_data))
+        _accumulate(t, g * (1.0 - out_data * out_data), owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -430,7 +437,7 @@ def sigmoid(t: Tensor) -> Tensor:
     out_data = _sp.expit(t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * out_data * (1.0 - out_data))
+        _accumulate(t, g * out_data * (1.0 - out_data), owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -441,7 +448,7 @@ def softplus(t: Tensor) -> Tensor:
     out_data = np.logaddexp(0.0, t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * _sp.expit(t.data))
+        _accumulate(t, g * _sp.expit(t.data), owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -453,7 +460,7 @@ def erf(t: Tensor) -> Tensor:
     t = _wrap(t)
 
     def grad_fn(g):
-        _accumulate(t, g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data))
+        _accumulate(t, g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data), owned=True)
 
     return Tensor._from_op(_sp.erf(t.data), (t,), grad_fn)
 
@@ -464,7 +471,7 @@ def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
     out_data = np.where(positive, t.data, slope * t.data)
 
     def grad_fn(g):
-        _accumulate(t, g * np.where(positive, 1.0, slope))
+        _accumulate(t, g * np.where(positive, 1.0, slope), owned=True)
 
     return Tensor._from_op(out_data, (t,), grad_fn)
 
@@ -473,15 +480,19 @@ def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def _im2col(a: np.ndarray, k: int, stride: int, padding: int, h: int, w: int):
-    """[B,C,H,W] zero-padded by ``padding`` -> the [B, C*k*k, h*w] matrix
-    of its k x k patches at ``stride``: one read-only strided view of the
-    padded array, which the reshape copies unless it already is that matrix.
-    The view stays in bounds: both ops size h and w so that (h - 1) * stride
-    + k never exceeds the padded height, nor (w - 1) * stride + k its width."""
-    if padding:
+    """[B,C,H,W] zero-padded by ``padding`` on each side, or cropped by
+    ``-padding`` when it is negative -> the [B, C*k*k, h*w] matrix of its
+    k x k patches at ``stride``: one read-only strided view of the padded
+    or cropped array, which the reshape copies unless it already is that
+    matrix. The view stays in bounds: every caller sizes h and w so that
+    (h - 1) * stride + k never exceeds the padded height, nor
+    (w - 1) * stride + k its width."""
+    if padding > 0:
         padded = np.zeros(a.shape[:2] + tuple(n + 2 * padding for n in a.shape[2:]), a.dtype)
         padded[:, :, padding:-padding, padding:-padding] = a
         a = padded
+    elif padding < 0:
+        a = a[:, :, -padding:padding, -padding:padding]
     s_h, s_w = a.strides[2:]
     windows = np.lib.stride_tricks.as_strided(
         a, a.shape[:2] + (k, k, h, w), a.strides + (stride * s_h, stride * s_w), writeable=False
@@ -491,7 +502,8 @@ def _im2col(a: np.ndarray, k: int, stride: int, padding: int, h: int, w: int):
 
 def _col2im(cols, channels, h, w, k, stride, padding, h_cols, w_cols):
     """Adjoint of _im2col: scatter-add the [B, channels*k*k,
-    h_cols*w_cols] patches onto the padded grid and crop it to h x w."""
+    h_cols*w_cols] patches onto the padded grid and crop it to h x w.
+    Only strides above 1 need it; see _adjoint."""
     cols = cols.reshape(cols.shape[0], channels, k, k, h_cols, w_cols)
     grid = np.zeros(cols.shape[:2] + (h + 2 * padding, w + 2 * padding), cols.dtype)
     h_span, w_span = stride * h_cols, stride * w_cols
@@ -499,6 +511,25 @@ def _col2im(cols, channels, h, w, k, stride, padding, h_cols, w_cols):
         for j in range(k):
             grid[:, :, i : i + h_span : stride, j : j + w_span : stride] += cols[:, :, i, j]
     return grid[:, :, padding : padding + h, padding : padding + w]
+
+
+def _adjoint(a: np.ndarray, weight: np.ndarray, stride: int, padding: int, h: int, w: int):
+    """The adjoint of the patch kernel: [B, c_in, H, W] through
+    [c_in, c_out, k, k] kernels to [B, c_out, h, w], without bias. It is
+    conv_transpose2d's forward pass and conv2d's input gradient. At stride
+    1 it is the patch kernel itself, a cross-correlation with the kernels
+    flipped in both spatial axes and transposed to [c_out, c_in, k, k] at
+    padding k - 1 - padding (a crop where that is negative): one _im2col
+    and one GEMM, with no scatter. Above stride 1 it is a GEMM, then
+    _col2im."""
+    c_in, c_out, k, _ = weight.shape
+    batch, _, h_a, w_a = a.shape
+    if stride == 1:
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_out, c_in * k * k)
+        cols = _im2col(a, k, 1, k - 1 - padding, h, w)
+        return np.matmul(flipped, cols).reshape(batch, c_out, h, w)
+    cols = np.matmul(weight.reshape(c_in, c_out * k * k).T, a.reshape(batch, c_in, h_a * w_a))
+    return _col2im(cols, c_out, h, w, k, stride, padding, h_a, w_a)
 
 
 def _conv_operands(op: str, x, weight, bias, x_axis: int):
@@ -529,8 +560,9 @@ def _conv_operands(op: str, x, weight, bias, x_axis: int):
 
 def _conv_output(out_data, x, weight, bias, backward) -> Tensor:
     """out_data plus the bias, with graph edges into x, weight and bias.
-    ``backward(g, want_x)`` gives x's gradient (None unless want_x) and the
-    pair (a, cols) whose a @ colsᵀ, summed over the batch, is the weight's."""
+    ``backward(g, want_x)`` gives x's gradient (None unless want_x), a
+    fresh array, and the pair (a, cols) whose a @ colsᵀ, summed over the
+    batch in order, is the weight's."""
     parents = (x, weight)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -539,12 +571,14 @@ def _conv_output(out_data, x, weight, bias, backward) -> Tensor:
 
     def grad_fn(g):
         gx, a, cols = backward(g, x_live is not None)
-        _accumulate(x_live, gx)
+        _accumulate(x_live, gx, owned=True)
         if w_live is not None:
-            gw = np.matmul(a, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w_live, gw.reshape(weight.data.shape))
+            gw = a[0] @ cols[0].T
+            for i in range(1, len(a)):
+                gw += a[i] @ cols[i].T
+            _accumulate(w_live, gw.reshape(weight.data.shape), owned=True)
         if b_live is not None:
-            _accumulate(b_live, g.sum(axis=(0, 2, 3)))
+            _accumulate(b_live, g.sum(axis=(0, 2, 3)), owned=True)
 
     return Tensor._from_op(out_data, parents, grad_fn)
 
@@ -560,16 +594,14 @@ def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
     w_out = (w_in + 2 * padding - k) // stride + 1
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"conv2d output would be empty for spatial input {h_in}x{w_in}")
-    w_mat = weight.data.reshape(c_out, c_in * k * k)
+    kernels = weight.data
+    w_mat = kernels.reshape(c_out, c_in * k * k)
     cols = _im2col(x.data, k, stride, padding, h_out, w_out)
     out_data = np.matmul(w_mat, cols).reshape(batch, c_out, h_out, w_out)
 
     def backward(g, want_x):
-        g = g.reshape(batch, c_out, h_out * w_out)
-        if not want_x:
-            return None, g, cols
-        g_cols = np.matmul(w_mat.T, g)
-        return _col2im(g_cols, c_in, h_in, w_in, k, stride, padding, h_out, w_out), g, cols
+        gx = _adjoint(g, kernels, stride, padding, h_in, w_in) if want_x else None
+        return gx, g.reshape(batch, c_out, h_out * w_out), cols
 
     return _conv_output(out_data, x, weight, bias, backward)
 
@@ -591,8 +623,7 @@ def conv_transpose2d(
         )
     w_mat = weight.data.reshape(c_in, c_out * k * k)
     x_flat = x.data.reshape(batch, c_in, h_in * w_in)
-    out_cols = np.matmul(w_mat.T, x_flat)
-    out_data = _col2im(out_cols, c_out, h_out, w_out, k, stride, padding, h_in, w_in)
+    out_data = _adjoint(x.data, weight.data, stride, padding, h_out, w_out)
 
     def backward(g, want_x):
         g_cols = _im2col(g, k, stride, padding, h_in, w_in)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -44,12 +45,33 @@ DEFAULT_TABLE = "qc_rate34_z64.txt"
 class ModelConfig:
     """Widths and seeds for every learned module, desk-scale defaults.
     The rest is derived: c_s is the last encoder width, and the decoder's
-    up path mirrors the latent pyramid (see SemanticDecoder)."""
+    up path mirrors the latent pyramid (see SemanticDecoder). A width
+    tuple that is empty or holds anything but integers >= 1, a growth
+    that is not such an integer or an init_seed that is not an integer
+    >= 0 raises ValueError naming the field; SemanticModel checks the
+    widths against each other."""
 
     encoder_widths: tuple = DEFAULT_WIDTHS
     latent_widths: tuple = LATENT_WIDTHS
     growth: int = 16
     init_seed: int = 0
+
+    def __post_init__(self):
+        for name in ("encoder_widths", "latent_widths"):
+            widths = getattr(self, name)
+            if not (isinstance(widths, tuple) and widths and all(_is_int(n, 1) for n in widths)):
+                raise ValueError(
+                    f"ModelConfig.{name} must be a non-empty tuple of integers >= 1, "
+                    f"got {widths!r}"
+                )
+        for name, low in (("growth", 1), ("init_seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value, low):
+                raise ValueError(f"ModelConfig.{name} must be an integer >= {low}, got {value!r}")
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 class SemanticModel(Module):

@@ -207,8 +207,9 @@ def save_model(path, model, history=()):
 def load_model(path):
     """Rebuild a model from :func:`save_model` output. Returns
     (model, history). A file that is not such a checkpoint, names a
-    config key ModelConfig does not have or misses a parameter raises
-    ValueError naming the problem."""
+    config key ModelConfig does not have, holds a config ModelConfig or
+    SemanticModel rejects or misses a parameter raises ValueError naming
+    the problem."""
     with open(path, "rb") as fh:
         blob = np.load(fh, allow_pickle=False)
         entries = {name: blob[name] for name in getattr(blob, "files", ())}
@@ -223,8 +224,12 @@ def load_model(path):
     unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown model config keys {unknown}")
-    cfg = ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-    model = SemanticModel(cfg)
+    try:
+        model = SemanticModel(
+            ModelConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad model config: {exc}") from None
     state = {name: value for name, value in entries.items() if not name.startswith("__")}
     missing = sorted({name for name, _ in model.named_parameters()} - set(state))
     if missing:

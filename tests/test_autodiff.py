@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parastream import autodiff as ad
@@ -216,7 +216,7 @@ class TestConvTranspose2d:
         out = ad.conv_transpose2d(x, w, None, stride=1, padding=0)
         np.testing.assert_array_equal(out.data, x.data)
 
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (1, 1, 3), (2, 1, 4)])
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (1, 1, 3), (1, 1, 1), (2, 1, 4)])
     def test_adjoint_identity(self, stride, padding, k):
         rng = np.random.default_rng(10 * stride + padding + k)
         a = rng.standard_normal((1, 1, 4, 4))
@@ -268,10 +268,13 @@ def _weight_gradient_case(op, oracle, batch, stride, padding, c_in, w_shape):
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("padding", [0, 1, 2])
 class TestWeightGradientOracles:
-    """The batched-matmul weight gradients against the einsum forms they
-    replaced, with the input gradients alongside."""
+    """The per-image weight GEMMs against the einsum forms they replaced,
+    with the input gradients alongside. At stride 1 the conv2d input
+    gradient and the conv_transpose2d output are the flipped-kernel patch
+    kernel at padding k - 1 - p: zero-padded, unpadded (k=3, p=2) or
+    cropped (k=1 at p=1 and p=2)."""
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_conv2d(self, batch, stride, padding, k):
@@ -292,6 +295,9 @@ class TestPatchKernelAndAdjoint:
     each op's input gradient is the other op's forward pass."""
 
     @settings(max_examples=60, deadline=None)
+    # the crop case: at k=1, p=1 the stride-1 adjoint pads by k - 1 - p = -1
+    @example(batch=2, c_a=3, c_b=2, k=1, stride=1, padding=1, size=4, dtype=np.float64, seed=5)
+    @example(batch=1, c_a=2, c_b=3, k=1, stride=1, padding=1, size=3, dtype=np.float32, seed=6)
     @given(
         batch=st.integers(1, 3),
         c_a=st.integers(1, 4),
@@ -326,6 +332,35 @@ class TestPatchKernelAndAdjoint:
             assert grad.dtype == forward.data.dtype == dtype
             assert grad.shape == forward.data.shape
             assert grad.tobytes() == forward.data.tobytes()
+
+    @pytest.mark.parametrize("op,stride,scatters", [
+        ("conv2d", 1, False),
+        ("conv2d", 2, True),
+        ("conv_transpose2d", 2, True),
+    ])
+    def test_col2im_runs_only_above_stride_1(self, monkeypatch, op, stride, scatters):
+        # conv2d's backward at stride 1 must take the flipped-kernel GEMM,
+        # never fall back to the scatter; stride 2 and the 4/2/1 up conv keep it
+        calls = []
+        scatter = ad._col2im
+
+        def spy(*args):
+            calls.append(args[5])
+            return scatter(*args)
+
+        monkeypatch.setattr(ad, "_col2im", spy)
+        rng = make_rng(stride)
+        if op == "conv2d":
+            x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+            w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+            out = ad.conv2d(x, w, stride=stride, padding=1)
+        else:
+            x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+            w = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
+            out = ad.conv_transpose2d(x, w, stride=stride, padding=1)
+        (out * out).sum().backward()
+        assert x.grad is not None and w.grad is not None
+        assert calls == ([stride] if scatters else [])
 
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "cropped"])
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 2, 0), (4, 2, 1)])
@@ -554,6 +589,38 @@ class TestDtypes:
         (narrow * 3.0).sum().backward()
         assert x.grad.dtype == np.float64
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "op, w_shape",
+        [
+            (lambda x, w: ad.conv2d(x, w, padding=1), (3, 2, 3, 3)),
+            (lambda x, w: ad.conv2d(x, w, stride=2, padding=1), (3, 2, 3, 3)),
+            (lambda x, w: ad.conv2d(x, w, padding=1), (3, 2, 1, 1)),
+            (lambda x, w: ad.conv_transpose2d(x, w, padding=1), (2, 3, 3, 3)),
+            (lambda x, w: ad.conv_transpose2d(x, w, stride=2, padding=1), (2, 3, 4, 4)),
+            (lambda x, w: x * w, (1, 2, 1, 1)),
+            (lambda x, w: x / w, (1, 2, 1, 1)),
+            (lambda x, w: x @ w, (4, 3)),
+        ],
+        ids=["conv2d", "conv2d-stride2", "conv2d-crop", "conv_t", "conv_t-stride2",
+             "mul", "div", "matmul"],
+    )
+    def test_mixed_dtype_gradients_keep_each_operand_dtype(self, op, w_shape):
+        # a float32 input meets float64 weights: the output is float64, and
+        # each operand's first gradient is the all-float64 one in the
+        # operand's own dtype
+        rng = make_rng(13)
+        x = Tensor(rng.standard_normal((2, 2, 4, 4)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.uniform(0.5, 1.5, w_shape), requires_grad=True)
+        wide_x = Tensor(x.data.astype(np.float64), requires_grad=True)
+        wide_w = Tensor(w.data, requires_grad=True)
+        for a, b in ((x, w), (wide_x, wide_w)):
+            out = op(a, b)
+            assert out.data.dtype == np.float64
+            (out * out).sum().backward()
+        assert x.grad.dtype == np.float32 and w.grad.dtype == np.float64
+        np.testing.assert_allclose(x.grad, wide_x.grad, rtol=1e-6)
+        np.testing.assert_allclose(w.grad, wide_w.grad, rtol=1e-12)
 
     def test_conv_ops_run_in_float32(self):
         rng = make_rng(12)

@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py judges each end-to-end metric against its bound
-and counts each side's source lines."""
+"""scripts/bench_pairs.py judges each end-to-end metric against its bound,
+compares the quality figures of each pair and counts each side's source
+lines."""
 
 import importlib.util
 import pathlib
@@ -44,6 +45,21 @@ def test_summary_gives_each_metric_its_change_and_verdict():
     assert set(rows) == set(CASES)
     for name, (_, _, _, relative, verdict) in CASES.items():
         assert rows[name][-3:] == [relative, verdict, "(25%)"], name
+
+
+def test_quality_cell_gives_a_moved_loss_its_relative_difference():
+    bench_pairs = load_script()
+    cell = bench_pairs.quality_cell
+    assert cell("digest", "ab12", "ab12") == "quality digest same"
+    assert cell("digest", "ab12", "cd34") == "quality digest differs"
+    assert cell("train_loss_end", 3320.25, 3320.25) == "quality train_loss_end same"
+    # a last-bits reorder and a real move, above and below the parent
+    assert cell("train_loss_end", 1024.0, 1024.0 + 2**-40) == (
+        "quality train_loss_end differs (+8.88e-16)"
+    )
+    assert cell("train_loss_end", 200.0, 150.0) == "quality train_loss_end differs (-2.50e-01)"
+    # an absent figure on the change side is a difference with no number
+    assert cell("train_loss_end", 200.0, None) == "quality train_loss_end differs"
 
 
 def test_line_counts_cover_src_python_files_only(tmp_path):

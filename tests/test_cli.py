@@ -1,12 +1,14 @@
 """Subcommand behavior through cli.main with temporary artifacts."""
 
+import json
+
 import numpy as np
 import pytest
 
 from parastream import cli, data, training
 from parastream.pipeline import PipelineConfig, transmit_image
 
-from helpers import toy_images
+from helpers import toy_images, toy_model
 
 
 @pytest.fixture()
@@ -97,6 +99,24 @@ class TestTransmitCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: not a model checkpoint")
+        assert not out.exists()
+
+    def test_bad_checkpoint_config_fails_cleanly(self, ppm, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        training.save_model(bad, toy_model())
+        with np.load(bad) as blob:
+            entries = {name: blob[name] for name in blob.files}
+        config = json.loads(str(entries["__config__"]))
+        entries["__config__"] = np.array(json.dumps({**config, "growth": 0}))
+        np.savez(bad, **entries)
+        out = tmp_path / "rx.ppm"
+        rc = cli.main([
+            "transmit", "--image", str(ppm), "--out", str(out), "--snr", "10",
+            "--model", str(bad),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: bad model config: ModelConfig.growth")
         assert not out.exists()
 
     def test_table_without_encoder_fails_cleanly(self, ppm, generic_table, tmp_path, capsys):

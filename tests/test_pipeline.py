@@ -225,6 +225,30 @@ class TestConfigValidation:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"encoder_widths": (), "latent_widths": (32,)}, "encoder_widths"),
+            ({"latent_widths": ()}, "latent_widths"),
+            ({"encoder_widths": (0,), "latent_widths": (4, 0)}, "encoder_widths"),
+            ({"encoder_widths": (4,), "latent_widths": (-1, 4)}, "latent_widths"),
+            ({"encoder_widths": (4, 2.5), "latent_widths": (4, 4, 4)}, "encoder_widths"),
+            ({"latent_widths": 32}, "latent_widths"),
+            ({"growth": 0}, "growth"),
+            ({"growth": "16"}, "growth"),
+            ({"init_seed": -1}, "init_seed"),
+            ({"init_seed": 2.5}, "init_seed"),
+        ],
+        ids=[
+            "no-encoder-widths", "no-latent-widths", "zero-width", "negative-width",
+            "fractional-width", "width-not-a-tuple", "zero-growth", "growth-not-an-int",
+            "negative-seed", "fractional-seed",
+        ],
+    )
+    def test_model_config_names_the_bad_field(self, fields, field):
+        with pytest.raises(ValueError, match=rf"^ModelConfig\.{field} must be"):
+            pipeline.ModelConfig(**fields)
+
 
 @st.composite
 def consistent_widths(draw):

@@ -576,8 +576,18 @@ class TestTrainLoop:
             (with_config(width=3), r"unknown model config keys \['width'\]"),
             (lambda entries: entries.pop("__config__"), "no __config__ entry"),
             (lambda entries: entries.pop("decoder.entry.weight"), "misses parameters"),
+            (with_config(growth=0), r"bad model config: ModelConfig\.growth "),
+            (with_config(growth="2"), r"bad model config: ModelConfig\.growth "),
+            (with_config(init_seed="3"), r"bad model config: ModelConfig\.init_seed "),
+            (with_config(encoder_widths=[]), r"bad model config: ModelConfig\.encoder_widths "),
+            (with_config(latent_widths=[4, 4, 0]), r"config: ModelConfig\.latent_widths "),
+            (with_config(latent_widths=[4, 4]), "bad model config: need one more latent width"),
         ],
-        ids=["set-hyper-hidden", "unknown-key", "no-config", "missing-parameter"],
+        ids=[
+            "set-hyper-hidden", "unknown-key", "no-config", "missing-parameter",
+            "zero-growth", "text-growth", "text-seed", "no-encoder-widths", "zero-latent-width",
+            "scale-count",
+        ],
     )
     def test_bad_checkpoint_raises_value_error(self, tmp_path, change, message):
         path = rewritten_checkpoint(tmp_path, change)
