@@ -23,7 +23,7 @@ moves with the evaluation transmits. Where the loss differs, the line
 gives the change's signed difference relative to the parent, so a
 floating-point reorder shows how far the loss moved. Under the summary
 it prints the ``src/**/*.py`` line count of each side and their signed
-difference.
+difference, then each file whose count differs between the sides.
 Standard library only; run it from any directory of the repository.
 """
 
@@ -136,15 +136,34 @@ def summary(metrics, runs) -> str:
     return "\n".join(lines)
 
 
+def src_file_lines(root: pathlib.Path) -> dict:
+    """Lines of each ``src/**/*.py`` file under ``root``, as ``wc -l``
+    counts them, by its path below ``src``."""
+    src = root / "src"
+    return {
+        path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+        for path in src.rglob("*.py")
+    }
+
+
 def src_lines(root: pathlib.Path) -> int:
-    """Lines of every ``src/**/*.py`` file under ``root``, as ``wc -l``
-    counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+    return sum(src_file_lines(root).values())
 
 
 def line_counts(parent: pathlib.Path, change: pathlib.Path) -> str:
-    before, after = src_lines(parent), src_lines(change)
-    return f"src/**/*.py lines: parent {before}, change {after} ({after - before:+d})"
+    """The ``src`` line total of each side, then one line per file whose
+    count differs; a file on one side only counts 0 lines on the other."""
+    before, after = src_file_lines(parent), src_file_lines(change)
+    total_before, total_after = sum(before.values()), sum(after.values())
+    lines = [
+        f"src/**/*.py lines: parent {total_before}, change {total_after}"
+        f" ({total_after - total_before:+d})"
+    ]
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, 0), after.get(name, 0)
+        if old != new:
+            lines.append(f"  {name} {old} -> {new} ({new - old:+d})")
+    return "\n".join(lines)
 
 
 def main():

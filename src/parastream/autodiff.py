@@ -6,6 +6,14 @@ arithmetic, matmul, reductions, reshaping, indexing, 2-D convolution and
 its adjoint, and a handful of activations). There is no GPU path and no
 broadcasting beyond what the layers in this package use.
 
+An op gives its value and its local gradients: for each operand, a
+function from the output gradient g to that operand's share of it.
+``_unary`` and ``_binary`` record the graph edge, reduce a broadcast
+gradient to its operand's shape, and decide whether the array is kept as
+the gradient or copied (``owned``). Only the convolutions, with three
+edges, and ``concat``, with a list of them, write their own backward
+closure.
+
 One patch kernel (``_im2col``, then a GEMM) and its adjoint serve both
 convolutions, forward and backward: each is one op's forward pass and
 the other's input gradient. At stride 1 the adjoint is the patch kernel
@@ -129,11 +137,7 @@ class Tensor:
         if self.data.dtype == dtype:
             return self
         source = self.data.dtype
-
-        def grad_fn(g):
-            _accumulate(self, g.astype(source), owned=True)
-
-        return Tensor._from_op(self.data.astype(dtype), (self,), grad_fn)
+        return _unary(self, self.data.astype(dtype), lambda g: g.astype(source))
 
     # -- backward pass ---------------------------------------------------
 
@@ -178,22 +182,12 @@ class Tensor:
 
     def __add__(self, other):
         other = _wrap(other, self)
-        out_data = self.data + other.data
-        a, b = _live(self, other)
-
-        def grad_fn(g):
-            _accumulate(a, _unbroadcast(g, self.data.shape))
-            _accumulate(b, _unbroadcast(g, other.data.shape))
-
-        return Tensor._from_op(out_data, (self, other), grad_fn)
+        return _binary(self, other, self.data + other.data, lambda g: g, lambda g: g, owned=False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def grad_fn(g):
-            _accumulate(self, -g, owned=True)
-
-        return Tensor._from_op(-self.data, (self,), grad_fn)
+        return _unary(self, -self.data, lambda g: -g)
 
     def __sub__(self, other):
         return self + (-_wrap(other, self))
@@ -203,31 +197,21 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other, self)
-        out_data = self.data * other.data
-        a, b = _live(self, other)
-
-        def grad_fn(g):
-            _accumulate(a, _unbroadcast(g * other.data, self.data.shape), owned=True)
-            _accumulate(b, _unbroadcast(g * self.data, other.data.shape), owned=True)
-
-        return Tensor._from_op(out_data, (self, other), grad_fn)
+        return _binary(
+            self, other, self.data * other.data,
+            lambda g: g * other.data,
+            lambda g: g * self.data,
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _wrap(other, self)
-        out_data = self.data / other.data
-        a, b = _live(self, other)
-
-        def grad_fn(g):
-            _accumulate(a, _unbroadcast(g / other.data, self.data.shape), owned=True)
-            _accumulate(
-                b,
-                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
-                owned=True,
-            )
-
-        return Tensor._from_op(out_data, (self, other), grad_fn)
+        return _binary(
+            self, other, self.data / other.data,
+            lambda g: g / other.data,
+            lambda g: -g * self.data / (other.data * other.data),
+        )
 
     def __rtruediv__(self, other):
         return _wrap(other, self) / self
@@ -235,74 +219,57 @@ class Tensor:
     def __pow__(self, exponent):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def grad_fn(g):
-            _accumulate(self, g * exponent * self.data ** (exponent - 1), owned=True)
-
-        return Tensor._from_op(out_data, (self,), grad_fn)
+        return _unary(
+            self, self.data ** exponent, lambda g: g * exponent * self.data ** (exponent - 1)
+        )
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul operands must have at least 2 dims")
-        out_data = np.matmul(self.data, other.data)
-        a, b = _live(self, other)
-
-        def grad_fn(g):
-            ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
-            gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            _accumulate(a, _unbroadcast(ga, self.data.shape), owned=True)
-            _accumulate(b, _unbroadcast(gb, other.data.shape), owned=True)
-
-        return Tensor._from_op(out_data, (self, other), grad_fn)
+        return _binary(
+            self, other, np.matmul(self.data, other.data),
+            lambda g: np.matmul(g, np.swapaxes(other.data, -1, -2)),
+            lambda g: np.matmul(np.swapaxes(self.data, -1, -2), g),
+        )
 
     # -- shape manipulation -------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
         src_shape = self.data.shape
-
-        def grad_fn(g):
-            _accumulate(self, g.reshape(src_shape))
-
-        return Tensor._from_op(out_data, (self,), grad_fn)
+        return _unary(self, self.data.reshape(shape), lambda g: g.reshape(src_shape), owned=False)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-
-        def grad_fn(g):
-            _accumulate(self, g.transpose(inverse))
-
-        return Tensor._from_op(self.data.transpose(axes), (self,), grad_fn)
+        return _unary(
+            self, self.data.transpose(axes), lambda g: g.transpose(inverse), owned=False
+        )
 
     def __getitem__(self, index):
-        out_data = self.data[index]
         src_shape = self.data.shape
 
-        def grad_fn(g):
+        def scatter(g):
             full = np.zeros(src_shape, self.data.dtype)
             np.add.at(full, index, g)
-            _accumulate(self, full, owned=True)
+            return full
 
-        return Tensor._from_op(out_data, (self,), grad_fn)
+        return _unary(self, self.data[index], scatter)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
         src_shape = self.data.shape
 
-        def grad_fn(g):
+        def spread(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accumulate(self, np.broadcast_to(g, src_shape))
+            return np.broadcast_to(g, src_shape)
 
-        return Tensor._from_op(out_data, (self,), grad_fn)
+        return _unary(self, self.data.sum(axis=axis, keepdims=keepdims), spread, owned=False)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -362,6 +329,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _unary(t: Tensor, out_data, local_grad, owned: bool = True) -> Tensor:
+    """Output ``out_data`` of an op on t alone, with its graph edge:
+    backward accumulates ``local_grad(g)`` into t. ``owned`` is False
+    when local_grad returns g or a view of it (see :func:`_accumulate`).
+    With t not requiring grad, the output is a plain tensor and no
+    closure is built."""
+    if not t.requires_grad:
+        return Tensor(out_data)
+
+    def grad_fn(g):
+        _accumulate(t, local_grad(g), owned)
+
+    return Tensor._from_op(out_data, (t,), grad_fn)
+
+
+def _binary(a: Tensor, b: Tensor, out_data, grad_a, grad_b, owned: bool = True) -> Tensor:
+    """Output ``out_data`` of an op on a and b, with its graph edges:
+    backward accumulates ``grad_a(g)`` into a and ``grad_b(g)`` into b,
+    each reduced to its operand's shape. Each is computed only for an
+    operand that required grad when the op ran. ``owned`` and the plain
+    output for operands that need no gradient as in :func:`_unary`."""
+    a_live, b_live = _live(a, b)
+    if a_live is None and b_live is None:
+        return Tensor(out_data)
+
+    def grad_fn(g):
+        if a_live is not None:
+            _accumulate(a_live, _unbroadcast(grad_a(g), a_live.data.shape), owned)
+        if b_live is not None:
+            _accumulate(b_live, _unbroadcast(grad_b(g), b_live.data.shape), owned)
+
+    return Tensor._from_op(out_data, (a, b), grad_fn)
+
+
 # -- joining ------------------------------------------------------------------
 
 
@@ -396,61 +397,36 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def exp(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.exp(t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * out_data, owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, out_data, lambda g: g * out_data)
 
 
 def log(t: Tensor) -> Tensor:
     t = _wrap(t)
-
-    def grad_fn(g):
-        _accumulate(t, g / t.data, owned=True)
-
-    return Tensor._from_op(np.log(t.data), (t,), grad_fn)
+    return _unary(t, np.log(t.data), lambda g: g / t.data)
 
 
 def sqrt(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.sqrt(t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * 0.5 / out_data, owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, out_data, lambda g: g * 0.5 / out_data)
 
 
 def tanh(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.tanh(t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * (1.0 - out_data * out_data), owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, out_data, lambda g: g * (1.0 - out_data * out_data))
 
 
 def sigmoid(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = _sp.expit(t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * out_data * (1.0 - out_data), owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def softplus(t: Tensor) -> Tensor:
     """log(1 + e^x), evaluated as logaddexp for numerical safety."""
     t = _wrap(t)
-    out_data = np.logaddexp(0.0, t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * _sp.expit(t.data), owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, np.logaddexp(0.0, t.data), lambda g: g * _sp.expit(t.data))
 
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
@@ -458,22 +434,16 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 def erf(t: Tensor) -> Tensor:
     t = _wrap(t)
-
-    def grad_fn(g):
-        _accumulate(t, g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data), owned=True)
-
-    return Tensor._from_op(_sp.erf(t.data), (t,), grad_fn)
+    return _unary(
+        t, _sp.erf(t.data), lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data)
+    )
 
 
 def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
     t = _wrap(t)
     positive = t.data > 0
     out_data = np.where(positive, t.data, slope * t.data)
-
-    def grad_fn(g):
-        _accumulate(t, g * np.where(positive, 1.0, slope), owned=True)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
+    return _unary(t, out_data, lambda g: g * np.where(positive, 1.0, slope))
 
 
 # -- 2-D convolution and its adjoint ------------------------------------------

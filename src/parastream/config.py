@@ -74,9 +74,9 @@ def _parse_points(text, cast):
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int((stop - start) / step + 1e-9) + 1
-        if count < 1:
+        if stop < start:
             raise ValueError(f"empty range: {text!r}")
+        count = int((stop - start) / step + 1e-9) + 1
         return tuple(cast(start + i * step) for i in range(count))
     return tuple(cast(float(p)) for p in text.split(","))
 

@@ -51,8 +51,7 @@ convergence flags and iteration counts match the log-domain edge-list
 decoder that tests/helpers.py keeps as ldpc_decode_bp_oracle. On the
 desk code (n = 1024, one core of a 2-CPU Xeon VM, one BLAS thread, 1 dB,
 50 iterations) it takes about 75 us per frame-iteration for one frame
-and 27-38 us for 5 to 40 frames; the cumprod decoder it replaced took
-88 and 70-84 us, and the edge-list decoder 257 us.
+and 27-38 us for 5 to 40 frames.
 """
 
 import importlib.resources

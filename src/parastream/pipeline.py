@@ -106,8 +106,10 @@ class PipelineConfig:
     semantic: bool = True
 
     def __post_init__(self):
-        if self.lambda1 < 0:
-            raise ValueError("loss weight lambda1 must be nonnegative")
+        if not math.isfinite(self.lambda1) or self.lambda1 < 0:
+            raise ValueError(
+                f"loss weight lambda1 must be finite and nonnegative, got {self.lambda1}"
+            )
 
 
 @dataclass(frozen=True)

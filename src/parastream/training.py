@@ -22,6 +22,7 @@ chain `transmit_image` runs, on per-image channel trials (see
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -59,8 +60,12 @@ class TrainConfig:
         for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError(f"learning rate lr must be finite and positive, got {self.lr}")
+        if len(self.snr_set) == 0 or not all(math.isfinite(s) for s in self.snr_set):
+            raise ValueError(
+                f"snr_set must hold at least one SNR, each finite, got {self.snr_set!r}"
+            )
 
 
 class Adam:

@@ -456,6 +456,103 @@ class TestFlagsCapturedWhenOpRuns:
         assert w.grad is not None and np.any(w.grad)
 
 
+class TestEdgeHelpers:
+    """Every op that records its edge through _unary or _binary: each
+    tensor's first gradient has its own dtype and buffer, and an operand
+    that needs no gradient gets none computed."""
+
+    UNARY = {
+        "astype": lambda x: x.astype(
+            np.float64 if x.data.dtype == np.float32 else np.float32
+        ),
+        "neg": lambda x: -x,
+        "pow": lambda x: x**3.0,
+        "getitem": lambda x: x[:, 1:],
+        "exp": ad.exp,
+        "log": ad.log,
+        "sqrt": ad.sqrt,
+        "tanh": ad.tanh,
+        "sigmoid": ad.sigmoid,
+        "softplus": ad.softplus,
+        "erf": ad.erf,
+        "leaky_relu": lambda x: ad.leaky_relu(x - 1.0),
+        "reshape": lambda x: x.reshape(3, 2),
+        "transpose": lambda x: x.transpose(1, 0),
+        "sum": lambda x: x.sum(axis=0),
+        "sum-all": lambda x: x.sum(),
+    }
+    # name -> (op, shape of y against an x of shape (2, 3))
+    BINARY = {
+        "add": (lambda x, y: x + y, (2, 3)),
+        "add-broadcast": (lambda x, y: x + y, (1, 3)),
+        "sub": (lambda x, y: x - y, (2, 3)),
+        "mul": (lambda x, y: x * y, (2, 3)),
+        "mul-broadcast": (lambda x, y: y * x, (3,)),
+        "div": (lambda x, y: x / y, (2, 3)),
+        "matmul": (lambda x, y: x @ y, (3, 2)),
+    }
+    DTYPES = [np.float32, np.float64]
+
+    @staticmethod
+    def _check_gradients(tensors):
+        # the loss squares the op's output, so the output's own gradient is
+        # an array the loss built and every operand's first gradient comes
+        # from the op under test
+        for t in tensors:
+            assert t.grad is not None and t.grad.dtype == t.data.dtype
+            assert t.grad.shape == t.data.shape
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(UNARY))
+    def test_unary_gradients_have_own_dtype_and_buffer(self, name, dtype):
+        x = Tensor(make_rng(21).uniform(0.5, 1.5, (2, 3)).astype(dtype), requires_grad=True)
+        out = self.UNARY[name](x)
+        (out * out).sum().backward()
+        self._check_gradients([x, out])
+
+    @pytest.mark.parametrize("y_dtype", DTYPES)
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    @pytest.mark.parametrize("name", sorted(BINARY))
+    def test_binary_gradients_have_own_dtype_and_buffer(self, name, x_dtype, y_dtype):
+        op, y_shape = self.BINARY[name]
+        rng = make_rng(22)
+        x = Tensor(rng.uniform(0.5, 1.5, (2, 3)).astype(x_dtype), requires_grad=True)
+        y = Tensor(rng.uniform(0.5, 1.5, y_shape).astype(y_dtype), requires_grad=True)
+        out = op(x, y)
+        (out * out).sum().backward()
+        self._check_gradients([x, y, out])
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, c: x * 2.0,
+            lambda x, c: 2.0 * x,
+            lambda x, c: x / c,
+            lambda x, c: x @ c,
+            lambda x, c: x + c,
+            lambda x, c: c - x,
+        ],
+        ids=["mul-scalar", "rmul-scalar", "div", "matmul", "add", "rsub"],
+    )
+    def test_constant_operand_gets_no_gradient(self, monkeypatch, op):
+        calls = []
+        unbroadcast = ad._unbroadcast
+
+        def counting(grad, shape):
+            calls.append(shape)
+            return unbroadcast(grad, shape)
+
+        monkeypatch.setattr(ad, "_unbroadcast", counting)
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        c = Tensor(np.full((2, 2), 4.0))
+        op(x, c).sum().backward()
+        assert calls == [(2, 2)]
+        assert c.grad is None
+
+
 class TestGdn:
     def test_degenerate_normalizer_is_identity(self):
         rng = np.random.default_rng(11)

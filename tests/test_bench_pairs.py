@@ -71,10 +71,19 @@ def test_line_counts_cover_src_python_files_only(tmp_path):
         parent / "src" / "notes.txt": "not\ncounted\n",
         parent / "tests" / "t.py": "not = 'counted'\n",
         change / "src" / "a.py": "x = 1\n",
+        change / "src" / "c.py": "w = 4\n",
+        parent / "src" / "same.py": "v = 5\n",
+        change / "src" / "same.py": "v = 6\n",
     }
     for path, text in files.items():
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    assert bench_pairs.src_lines(parent) == 3
-    assert bench_pairs.line_counts(parent, change) == "src/**/*.py lines: parent 3, change 1 (-2)"
-    assert bench_pairs.line_counts(change, parent).endswith("(+2)")
+    assert bench_pairs.src_lines(parent) == 4
+    # a file on one side only counts 0 on the other; an unchanged count is not listed
+    assert bench_pairs.line_counts(parent, change).splitlines() == [
+        "src/**/*.py lines: parent 4, change 3 (-1)",
+        "  a.py 2 -> 1 (-1)",
+        "  c.py 0 -> 1 (+1)",
+        "  pkg/b.py 1 -> 0 (-1)",
+    ]
+    assert bench_pairs.line_counts(change, parent).splitlines()[0].endswith("(+1)")

@@ -73,6 +73,12 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="step"):
             config.parse_config("[sweep]\nsnr_db = 2:12:0\n")
 
+    @pytest.mark.parametrize("points", ["6:2:2", "4:3:1", "4:3.5:1"])
+    def test_reversed_range_is_empty(self, points):
+        with pytest.raises(ConfigError, match="empty range") as err:
+            config.parse_config(f"[pipeline]\nq = 50\n\n[sweep]\nsnr_db = {points}\n")
+        assert err.value.line == 5
+
     def test_quality_bounds(self):
         with pytest.raises(ConfigError, match="1..100"):
             ExperimentConfig(q=0)

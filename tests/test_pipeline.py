@@ -192,6 +192,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pipeline.PipelineConfig(lambda1=-0.1)
 
+    @pytest.mark.parametrize("lambda1", [float("nan"), float("inf")])
+    def test_non_finite_loss_weight_names_the_field(self, lambda1):
+        with pytest.raises(ValueError, match="lambda1"):
+            pipeline.PipelineConfig(lambda1=lambda1)
+
     def test_config_fields_are_pinned(self):
         # each field is an option tests and the benchmark must cover, so
         # adding one changes this list on purpose

@@ -163,6 +163,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(stage=1, lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_names_the_field(self, lr):
+        with pytest.raises(ValueError, match="learning rate lr"):
+            TrainConfig(stage=1, lr=lr)
+
+    @pytest.mark.parametrize("snr_set", [(), [], (10.0, float("nan")), (float("-inf"),)])
+    def test_empty_or_non_finite_snr_set_names_the_field(self, snr_set):
+        with pytest.raises(ValueError, match="snr_set"):
+            TrainConfig(stage=1, snr_set=snr_set)
+
     @pytest.mark.parametrize("field", ["steps", "batch_size"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_counts_below_one_name_the_field(self, field, value):
