@@ -28,10 +28,11 @@ float32 and any other dtype becomes float64, so an op's output has the
 dtype NumPy promotes its operands to. A Python scalar operand takes the
 dtype of the tensor it meets (a weak scalar, as in NumPy 2's NEP 50), so
 it neither widens float32 work nor rounds float64 work: a float64 graph
-gives the same bits as an engine that is float64 throughout. Training
-and every gradient check run in float64; ``pipeline.transmit_image``
-runs the encoder and decoder in float32. ``Tensor.astype`` crosses
-between the two inside a graph.
+gives the same bits as an engine that is float64 throughout. Layers
+take their float64 parameters through ``Tensor.astype``, which crosses
+between the dtypes inside a graph and keeps its last cast. Training and
+every gradient check run in float64; ``pipeline.transmit_image`` runs
+the encoder and decoder in float32.
 """
 
 from __future__ import annotations
@@ -79,14 +80,13 @@ class Tensor:
     ``version`` counts in-place writes to ``data``. Code that writes into
     a parameter's ``data`` in place must bump it, as ``training.Adam.step``
     does; code that rebinds ``data`` (``layers.Module.load_state_dict``,
-    ``p.data = ...``) need not. Values derived from a parameter and kept
-    across calls, such as the float32 copy that inference runs on
-    (``layers.Module.float32``), are checked against the array itself and
-    its version, so an in-place write that skips the bump leaves them
-    stale.
+    ``p.data = ...``) need not. ``astype`` keeps its last cast and checks
+    it against the array itself and this version, so an in-place write
+    that skips the bump leaves the cast stale.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "version", "_parents", "_grad_fn", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "version", "_parents", "_grad_fn", "_spent",
+                 "_cast")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -99,6 +99,7 @@ class Tensor:
         self._parents = ()
         self._grad_fn = None
         self._spent = False
+        self._cast = None  # (source array, its version, cast array), see astype
 
     # -- construction helpers -------------------------------------------
 
@@ -133,11 +134,15 @@ class Tensor:
     def astype(self, dtype) -> Tensor:
         """These values as ``dtype`` (float32 or float64); the tensor
         itself when its dtype already matches. The gradient flows back
-        cast to this tensor's dtype."""
-        if self.data.dtype == dtype:
-            return self
+        cast to this tensor's dtype. The cast array is kept and handed out
+        again while ``data`` is the same array at the same ``version``."""
         source = self.data.dtype
-        return _unary(self, self.data.astype(dtype), lambda g: g.astype(source))
+        if source == dtype:
+            return self
+        kept = self._cast
+        if kept is None or kept[0] is not self.data or kept[1] != self.version:
+            kept = self._cast = (self.data, self.version, self.data.astype(dtype))
+        return _unary(self, kept[2], lambda g: g.astype(source))
 
     # -- backward pass ---------------------------------------------------
 
@@ -304,13 +309,14 @@ def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
     """Add g into t.grad; nothing for t None. A first gradient becomes an
     array of t's shape and dtype: g itself when the caller owns it
     (owned=True: an array the op built, which no other tensor sees) and
-    g already has that shape and dtype, else a copy of g broadcast and
-    cast to them, so an op that mixes float32 and float64 operands
-    gives each operand a gradient of its own dtype."""
+    g is an ndarray of that shape and dtype, else a copy of g broadcast
+    and cast to them. So an op that mixes float32 and float64 operands
+    gives each operand a gradient of its own dtype, and the NumPy scalar
+    an op on 0-d arrays returns becomes a 0-d array."""
     if t is None:
         return
     if t.grad is None:
-        if owned and g.shape == t.data.shape and g.dtype == t.data.dtype:
+        if owned and type(g) is np.ndarray and g.shape == t.data.shape and g.dtype == t.data.dtype:
             t.grad = g
         else:
             t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype)

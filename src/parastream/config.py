@@ -8,11 +8,14 @@ rejection points at the offending line of the file.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 
 from .channel import KINDS
 from .pipeline import DEFAULT_TABLE
+
+MAX_RANGE_POINTS = 10_000
 
 
 class ConfigError(Exception):
@@ -65,20 +68,30 @@ def _parse_bool(text):
 
 
 def _parse_points(text, cast):
-    """Comma list ("2,4,6") or inclusive range ("2:12:2")."""
+    """Comma list ("2,4,6") or inclusive range ("2:12:2") of at most
+    MAX_RANGE_POINTS points, none NaN. A range's start, stop and step are
+    finite, and so is an integer point; a listed SNR may be inf."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range needs start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
         if stop < start:
             raise ValueError(f"empty range: {text!r}")
-        count = int((stop - start) / step + 1e-9) + 1
-        return tuple(cast(start + i * step) for i in range(count))
-    return tuple(cast(float(p)) for p in text.split(","))
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_RANGE_POINTS:  # also an overflow to inf
+            raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+        points = [start + i * step for i in range(int(steps) + 1)]
+    else:
+        points = [float(p) for p in text.split(",")]
+    if any(math.isnan(v) or (cast is int and math.isinf(v)) for v in points):
+        raise ValueError(f"a point is NaN, or infinite where an integer is needed: {text!r}")
+    return tuple(cast(v) for v in points)
 
 
 # (section, key) -> (ExperimentConfig field, value parser)

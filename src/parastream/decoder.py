@@ -115,7 +115,7 @@ class PagNet(Module):
                 f"stream shapes differ: {v.data.shape} vs {u.data.shape}"
             )
         level = int(np.clip(np.round(snr_db), 0, self.levels - 1))
-        embed = self.proj(self.snr_embed([level]))
+        embed = self.proj(self.snr_embed([level]).astype(v.data.dtype))
         gate = embed.reshape(1, -1, 1, 1)
         logits = ad.concat(
             [self._logit(self.conv_v(v), gate), self._logit(self.conv_u(u), gate)],

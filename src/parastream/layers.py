@@ -5,8 +5,11 @@ assignment, enough for optimizers and checkpointing; a non-empty tuple
 of modules assigned to ``name`` registers its items as the children
 ``name.0``, ``name.1``, ... in order, so a tuple serves as a module
 list. ``frozen`` keeps parameters out of the backward graph for the
-length of a block, for staged training and graph-free inference, and
-``Module.float32`` runs a block on a float32 copy of a module's weights.
+length of a block, for staged training and graph-free inference. A
+layer runs in the dtype of its input, on its float64 parameters as
+``Tensor.astype`` gives them: the parameter itself, or a cast it keeps
+per weight state, whose gradient flows back as float64 (the master
+weights of Micikevicius et al., "Mixed Precision Training", ICLR 2018).
 Initialization follows the package-wide conventions: Glorot-uniform
 weights, zero biases, GDN at beta=1 / gamma=0.1*I, PReLU slopes at 0.25.
 """
@@ -28,8 +31,6 @@ UP_KERNEL, UP_STRIDE, UP_PADDING = 4, 2, 1
 
 class Module:
     """Minimal parameter container with named traversal."""
-
-    _float32 = None  # (source arrays and versions, float32 copies), see float32
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -91,35 +92,6 @@ class Module:
                 )
             param.data = value.copy()
 
-    @contextlib.contextmanager
-    def float32(self):
-        """Bind a float32 copy of every parameter's data for the length of
-        a ``with`` block, and the original arrays again on exit.
-
-        The module keeps one copy and casts it once per weight state: again
-        only when a parameter's data was rebound (``load_state_dict``,
-        ``p.data = ...``) or its version bumped (``Adam.step``) since. The
-        check holds the source arrays themselves, whose ids could be
-        reused after garbage collection, and compares them with ``is``.
-        """
-        params = self.parameters()
-        kept = self._float32
-        if kept is None or len(kept[0]) != len(params) or any(
-            p.data is not data or p.version != version
-            for p, (data, version) in zip(params, kept[0])
-        ):
-            kept = self._float32 = (
-                [(p.data, p.version) for p in params],
-                [p.data.astype(np.float32) for p in params],
-            )
-        for p, copy in zip(params, kept[1]):
-            p.data = copy
-        try:
-            yield
-        finally:
-            for p, (data, _) in zip(params, kept[0]):
-                p.data = data
-
 
 @contextlib.contextmanager
 def frozen(params):
@@ -157,7 +129,8 @@ class Conv2d(Module):
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        weight, bias = (p.astype(x.data.dtype) for p in (self.weight, self.bias))
+        return ad.conv2d(x, weight, bias, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose2d(Module):
@@ -176,9 +149,8 @@ class ConvTranspose2d(Module):
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv_transpose2d(
-            x, self.weight, self.bias, stride=UP_STRIDE, padding=UP_PADDING
-        )
+        weight, bias = (p.astype(x.data.dtype) for p in (self.weight, self.bias))
+        return ad.conv_transpose2d(x, weight, bias, stride=UP_STRIDE, padding=UP_PADDING)
 
 
 class Linear(Module):
@@ -192,7 +164,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return x @ self.weight.astype(x.data.dtype) + self.bias.astype(x.data.dtype)
 
 
 class Embedding(Module):
@@ -218,8 +190,9 @@ class GDN(Module):
         self.gamma_raw = Tensor(np.sqrt(np.maximum(gamma0 - GDN_FLOOR, 0.0)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        beta = self.beta_raw * self.beta_raw + GDN_FLOOR
-        gamma = self.gamma_raw * self.gamma_raw + GDN_FLOOR
+        beta_raw, gamma_raw = (p.astype(x.data.dtype) for p in (self.beta_raw, self.gamma_raw))
+        beta = beta_raw * beta_raw + GDN_FLOOR
+        gamma = gamma_raw * gamma_raw + GDN_FLOOR
         return ad.gdn(x, beta, gamma, inverse=self.inverse)
 
 
@@ -233,7 +206,7 @@ class PReLU(Module):
     def __call__(self, x: Tensor) -> Tensor:
         positive = ad.leaky_relu(x, 0.0)
         negative = x - positive
-        return positive + self.slope.reshape(1, -1, 1, 1) * negative
+        return positive + self.slope.astype(x.data.dtype).reshape(1, -1, 1, 1) * negative
 
 
 def leaky_relu(x: Tensor) -> Tensor:

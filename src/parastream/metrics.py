@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
-_WINDOW = 11
+WINDOW = 11
 _SIGMA = 1.5
 _K1 = 0.01
 _K2 = 0.03
@@ -29,7 +29,7 @@ def psnr(x: np.ndarray, xhat: np.ndarray) -> float:
 
 
 def _gaussian_window() -> np.ndarray:
-    t = np.arange(_WINDOW) - (_WINDOW - 1) / 2.0
+    t = np.arange(WINDOW) - (WINDOW - 1) / 2.0
     g = np.exp(-(t**2) / (2.0 * _SIGMA**2))
     return g / g.sum()
 
@@ -42,10 +42,10 @@ def _band(size: int) -> np.ndarray:
     """[size, size - 10] read-only matrix whose column i holds the
     window on rows i..i+10, so v @ _band(len(v)) is the 'valid'
     correlation of v with the window."""
-    out = size - _WINDOW + 1
+    out = size - WINDOW + 1
     band = np.zeros((size, out))
     cols = np.arange(out)
-    for k in range(_WINDOW):
+    for k in range(WINDOW):
         band[cols + k, cols] = _G[k]
     band.flags.writeable = False
     return band
@@ -91,7 +91,7 @@ def _downsample(planes: np.ndarray) -> np.ndarray:
 def _scale_count(h: int, w: int) -> int:
     scales = 0
     dim = min(h, w)
-    while dim >= _WINDOW and scales < len(MS_SSIM_WEIGHTS):
+    while dim >= WINDOW and scales < len(MS_SSIM_WEIGHTS):
         scales += 1
         dim = (dim + 1) // 2
     return scales
@@ -102,7 +102,7 @@ def _ms_ssim_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     scales = _scale_count(*x.shape[-2:])
     if scales == 0:
         raise ValueError(
-            f"image {x.shape[-2:]} smaller than the {_WINDOW}x{_WINDOW} window"
+            f"image {x.shape[-2:]} smaller than the {WINDOW}x{WINDOW} window"
         )
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()

@@ -276,10 +276,10 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
     r_tilde, mu, sigma and alloc (None on bypass).
 
-    The encoder and decoder run in the dtype of their inputs and
-    weights; from the quantizer to the banks the chain runs in float64,
-    and s_hat enters the decoder in the dtype of x_c_hats. In training
-    everything is float64 and both casts are no-ops.
+    The encoder and decoder run in the dtype of their inputs; from the
+    quantizer to the banks the chain runs in float64, and s_hat enters
+    the decoder in the dtype of x_c_hats. In training everything is
+    float64 and every cast is a no-op.
     """
     s, r = (
         t.astype(np.float64)
@@ -333,24 +333,28 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     Returns (x_hat, frame, metrics). The conventional and semantic
     streams use channel trials 2*seed and 2*seed+1, so every call index
     sees independent realizations of the same configured channel. An
-    image that is not H x W x C, of a float dtype, finite and in [0, 1]
-    raises ValueError before any work (DimensionError for a shape the
-    semantic branch cannot take).
+    image that is not H x W x C, of a float dtype, finite and in [0, 1],
+    or that has a side shorter than the MS-SSIM window
+    (`metrics.WINDOW`) raises ValueError before any work (DimensionError
+    for a shape the semantic branch cannot take).
 
-    The semantic encoder and decoder run in float32: on float32 copies
-    of the image, its coding residual and the conventional
-    reconstruction, and on the float32 weight copy of
-    `layers.Module.float32`. Their convolutions are most of the work, and
-    float32 GEMMs run about twice as fast. The entropy model stays
-    float64, from the quantizer through the hyper synthesis, the rate
-    allocation and the banks to the analog channel: in float32, CDF
-    differences in the Gaussian tails reach the likelihood floor and
-    flip rate decisions. x_hat is returned as float64.
+    The semantic encoder and decoder run in float32 because their inputs
+    do: float32 copies of the image, its coding residual and the
+    conventional reconstruction. Each layer runs in the dtype of its
+    input, on float32 casts of its float64 parameters that the
+    parameters keep between calls. Their convolutions are most of the
+    work, and float32 GEMMs run about twice as fast. The entropy model
+    stays float64, from the quantizer through the hyper synthesis, the
+    rate allocation and the banks to the analog channel: in float32, CDF
+    differences in the Gaussian tails reach the likelihood floor and flip
+    rate decisions. x_hat is returned as float64.
     """
     if cfg.semantic:
         model = SemanticModel(ModelConfig()) if model is None else model
         model.encoder.check_image(np.shape(x))
     validate_image(x)
+    if min(np.shape(x)[:2]) < metrics.WINDOW:
+        raise ValueError(f"image sides must be at least the {metrics.WINDOW} px MS-SSIM window")
     if pcm is None:
         pcm = load_code(cfg.code)
     x_ref, _, x_r, blob = split_source(x, cfg.q)
@@ -362,7 +366,7 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
     x_hat, semantic_dims, k_s, clamped = x_c_hat, 0, 0, 0
     if cfg.semantic:
         inputs = ([a.astype(np.float32)] for a in (x_ref, x_r, x_c_hat))
-        with frozen(model.parameters()), model.encoder.float32(), model.decoder.float32():
+        with frozen(model.parameters()):
             out = semantic_forward(model, *inputs, cfg.channel, [seed])
         x_hat, alloc = tensor_to_image(out["x_hat"]).astype(np.float64), out["alloc"]
         semantic_dims, k_s, clamped = int(alloc.totals()[0]), alloc.k_s, alloc.clamped

@@ -127,7 +127,8 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     conventional stream at channel trial 2t and its semantic stream at
     2t + 1. Returns (loss, parts) where parts is semantic_forward's
     dict: x_hat, s_tilde, r_tilde, mu, sigma, and alloc (None in stage 1).
-    Every image passes the checks of transmit_image before any work.
+    Every image passes the checks of transmit_image before any work, but
+    for its minimum side: training computes no MS-SSIM.
     """
     for img in images:
         model.encoder.check_image(np.shape(img))

@@ -76,6 +76,25 @@ class TestArithmeticBackward:
         (a[np.array([0, 0, 2])].sum() + a[1:].sum()).backward()
         np.testing.assert_array_equal(a.grad, [2.0, 1.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "op, grad",
+        [
+            (lambda x: x + x, 2.0),
+            (lambda x: x * x, 4.0),
+            (lambda x: x / (x + 2.0), 0.125),
+            (lambda x: 1.0 / x, -0.25),
+            (lambda x: x**3.0, 12.0),
+        ],
+        ids=["add", "mul", "div", "rdiv", "pow"],
+    )
+    def test_zero_d_gradients_are_arrays(self, op, grad):
+        # an op on 0-d arrays returns a NumPy scalar; the gradient must
+        # still be a 0-d array that later gradients add into in place
+        x = Tensor(np.array(2.0), requires_grad=True)
+        op(x).backward()
+        assert type(x.grad) is np.ndarray and x.grad.shape == ()
+        assert x.grad == grad
+
     def test_broadcast_add_unbroadcasts_gradient(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         b = Tensor(np.zeros((1, 3)), requires_grad=True)
@@ -644,7 +663,7 @@ class TestDtypes:
     """float32 stays float32, everything else becomes float64, and a
     Python scalar takes the dtype of the tensor it meets."""
 
-    def test_float32_kept_and_other_dtypes_widened(self):
+    def test_single_precision_kept_and_other_dtypes_widened(self):
         assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
         for data in (np.ones(2, np.float16), np.arange(2), [1, 2], 0.5):
             assert Tensor(data).data.dtype == np.float64
@@ -663,7 +682,7 @@ class TestDtypes:
             lambda t: t**2.0,
         ],
     )
-    def test_scalar_operands_keep_float32(self, op):
+    def test_scalar_operands_keep_single_precision(self, op):
         t = Tensor(np.array([1.0, 2.0, 4.0], np.float32))
         assert op(t).data.dtype == np.float32
 
@@ -719,7 +738,7 @@ class TestDtypes:
         np.testing.assert_allclose(x.grad, wide_x.grad, rtol=1e-6)
         np.testing.assert_allclose(w.grad, wide_w.grad, rtol=1e-12)
 
-    def test_conv_ops_run_in_float32(self):
+    def test_conv_ops_run_in_single_precision(self):
         rng = make_rng(12)
         x = Tensor(rng.standard_normal((1, 2, 5, 5)).astype(np.float32))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))

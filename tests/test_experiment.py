@@ -79,6 +79,36 @@ class TestConfigGrammar:
             config.parse_config(f"[pipeline]\nq = 50\n\n[sweep]\nsnr_db = {points}\n")
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("snr_db = 0:inf:1", "finite"),
+            ("snr_db = -inf:4:1", "finite"),
+            ("snr_db = 0:4:nan", "finite"),
+            ("snr_db = 0:1e400:1", "finite"),
+            ("snr_db = nan,4", "NaN"),
+            ("snr_db = 0:nan:1", "finite"),
+            ("q = inf", "infinite where an integer"),
+            ("q = 10,-inf", "infinite where an integer"),
+            ("q = nan", "NaN"),
+            # checked before the tuple is built: 10^10 points, or an
+            # interval count that overflows to inf
+            ("snr_db = 0:1e7:1e-3", "more than 10000 points"),
+            ("snr_db = -1e308:1e308:1", "more than 10000 points"),
+            ("snr_db = 0:10000:1", "more than 10000 points"),
+        ],
+    )
+    def test_bad_points_are_line_anchored(self, line, match):
+        with pytest.raises(ConfigError, match=match) as err:
+            config.parse_config(f"[pipeline]\nq = 50\n\n[sweep]\n{line}\n")
+        assert err.value.line == 5
+
+    def test_range_of_the_ceiling_and_a_listed_inf_snr_accepted(self):
+        cfg = config.parse_config("[sweep]\nsnr_db = 1:10000:1\n")
+        assert len(cfg.snr_points) == config.MAX_RANGE_POINTS
+        cfg = config.parse_config("[sweep]\nsnr_db = 4,inf\n")
+        assert cfg.snr_points == (4.0, math.inf)
+
     def test_quality_bounds(self):
         with pytest.raises(ConfigError, match="1..100"):
             ExperimentConfig(q=0)

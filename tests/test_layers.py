@@ -7,6 +7,7 @@ import pytest
 from parastream import autodiff as ad
 from parastream import layers as ly
 from parastream.autodiff import Tensor
+from parastream.decoder import PagNet
 
 from helpers import gradcheck, projection_loss
 
@@ -74,38 +75,6 @@ class TestModule:
                 raise KeyError("inside")
         assert a.requires_grad
 
-    def test_float32_binds_a_copy_and_restores_the_arrays(self):
-        lin = ly.Linear(3, 2, make_rng(4))
-        originals = [p.data for p in lin.parameters()]
-        with lin.float32():
-            assert all(p.data.dtype == np.float32 for p in lin.parameters())
-            out = lin(Tensor(np.ones((1, 3), np.float32)))
-        assert out.data.dtype == np.float32
-        assert all(p.data is a for p, a in zip(lin.parameters(), originals))
-        with pytest.raises(KeyError):
-            with lin.float32():
-                raise KeyError("inside")
-        assert all(p.data is a for p, a in zip(lin.parameters(), originals))
-
-    def test_float32_copy_is_cast_once_per_weight_state(self):
-        lin = ly.Linear(3, 2, make_rng(5))
-
-        def copy():
-            with lin.float32():
-                return lin.weight.data
-
-        first = copy()
-        assert copy() is first
-        lin.weight.data[0, 0] = 7.0  # an in-place write without the bump
-        assert copy() is first and copy()[0, 0] != 7.0
-        lin.weight.version += 1
-        assert copy()[0, 0] == 7.0
-        kept = copy()
-        lin.weight.data = lin.weight.data * 2.0
-        assert copy()[0, 0] == 14.0 and copy() is not kept
-        lin.load_state_dict({"weight": np.ones((3, 2)), "bias": np.zeros(2)})
-        np.testing.assert_array_equal(copy(), np.ones((3, 2), np.float32))
-
     def test_tuple_of_modules_registers_children(self):
         class Stack(ly.Module):
             def __init__(self):
@@ -123,12 +92,121 @@ class TestModule:
         with ly.frozen(stack.parameters()):
             assert not any(p.requires_grad for p in params)
         assert all(p.requires_grad for p in params)
-        with stack.float32():
-            assert all(p.data.dtype == np.float32 for p in params)
-        assert all(p.data.dtype == np.float64 for p in params)
         # a tuple of non-modules, or an empty one, stays a plain attribute
         assert stack.sizes == (2, 2) and stack.none == ()
         assert list(stack._children) == ["blocks.0", "blocks.1", "blocks.2"]
+
+
+class TestAstypeCache:
+    """A tensor keeps its last cast and hands the same array out again
+    until its data is rebound or its version bumped."""
+
+    def test_cast_is_kept_until_the_weight_state_changes(self):
+        lin = ly.Linear(3, 2, make_rng(5))
+
+        def cast():
+            return lin.weight.astype(np.float32).data
+
+        first = cast()
+        assert first.dtype == np.float32 and cast() is first
+        lin.weight.version += 1
+        bumped = cast()
+        assert bumped is not first and cast() is bumped
+        lin.weight.data = lin.weight.data * 2.0
+        rebound = cast()
+        assert rebound is not bumped
+        np.testing.assert_array_equal(rebound, lin.weight.data.astype(np.float32))
+        lin.load_state_dict({"weight": np.ones((3, 2)), "bias": np.zeros(2)})
+        assert cast() is not rebound
+        np.testing.assert_array_equal(cast(), np.ones((3, 2), np.float32))
+
+    def test_in_place_write_without_a_bump_stays_stale(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        first = w.astype(np.float32).data
+        w.data[0, 0] = 7.0
+        assert w.astype(np.float32).data is first and first[0, 0] == 1.0
+        w.version += 1
+        assert w.astype(np.float32).data[0, 0] == 7.0
+
+    def test_kept_cast_still_records_its_edge(self):
+        w = Tensor(np.array([1.0, 2.0 + 2.0**-30]), requires_grad=True)
+        narrow = [w.astype(np.float32) for _ in range(2)]
+        assert narrow[0].data is narrow[1].data
+        for t in narrow:
+            assert t.requires_grad
+            (t * 3.0).sum().backward()
+        assert w.grad.dtype == np.float64
+        np.testing.assert_array_equal(w.grad, [6.0, 6.0])
+        with ly.frozen([w]):
+            assert not w.astype(np.float32).requires_grad
+
+
+def _layer_cases():
+    """(layer factory(rng), inputs) for every layer that casts its
+    parameters to its input's dtype; the inputs' arrays take the dtype
+    under test."""
+    rng = make_rng(30)
+    image = rng.standard_normal((2, 4, 6, 6))
+    other = rng.standard_normal((2, 4, 6, 6))
+    rows = rng.standard_normal((2, 5, 4))
+    cases = {
+        "conv2d": (lambda r: ly.Conv2d(4, 3, 3, r), (image,)),
+        "conv2d-stride2": (lambda r: ly.Conv2d(4, 3, 3, r, stride=2), (image,)),
+        "conv_transpose2d": (lambda r: ly.ConvTranspose2d(4, 3, r), (image,)),
+        "linear": (lambda r: ly.Linear(4, 3, r), (rows,)),
+        "gdn": (lambda r: ly.GDN(4), (image,)),
+        "igdn": (lambda r: ly.GDN(4, inverse=True), (image,)),
+        "prelu": (lambda r: ly.PReLU(4), (image,)),
+        "pagnet": (lambda r: PagNet(4, r), (image, other, 7.0)),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+class TestInputDtypeRule:
+    """A layer runs in the dtype of its input: on float32 its output is,
+    byte for byte, that of a twin whose parameters are float32 copies; on
+    float64 every cast is the parameter itself."""
+
+    @staticmethod
+    def build(factory):
+        layer = factory(make_rng(31))
+        noise = make_rng(32)
+        layer.load_state_dict(
+            {n: p.data + 0.1 * noise.standard_normal(p.shape) for n, p in layer.named_parameters()}
+        )
+        return layer
+
+    @staticmethod
+    def run(layer, inputs, dtype):
+        return layer(*(Tensor(a.astype(dtype)) if np.ndim(a) else a for a in inputs))
+
+    @pytest.mark.parametrize("factory, inputs", _layer_cases())
+    def test_narrow_input_matches_narrow_weights(self, factory, inputs):
+        layer, twin = self.build(factory), self.build(factory)
+        for p in twin.parameters():
+            p.data = p.data.astype(np.float32)
+        arrays = [p.data for p in layer.parameters()]
+        out = self.run(layer, inputs, np.float32)
+        want = self.run(twin, inputs, np.float32)
+        assert out.data.dtype == want.data.dtype == np.float32
+        assert out.data.tobytes() == want.data.tobytes()
+        assert all(p.data is a for p, a in zip(layer.parameters(), arrays))
+
+    @pytest.mark.parametrize("factory, inputs", _layer_cases())
+    def test_float64_input_casts_nothing(self, factory, inputs, monkeypatch):
+        layer = self.build(factory)
+        casts = []
+        astype = Tensor.astype
+
+        def spy(t, dtype):
+            out = astype(t, dtype)
+            casts.append(out is t)
+            return out
+
+        monkeypatch.setattr(Tensor, "astype", spy)
+        out = self.run(layer, inputs, np.float64)
+        assert out.data.dtype == np.float64
+        assert casts and all(casts)
 
 
 class TestInitialization:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parastream import autodiff, codec, data, ldpc, pipeline, training
+from parastream import autodiff, codec, data, ldpc, metrics, pipeline, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
 from parastream.decoder import SemanticDecoder
@@ -183,7 +183,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="H x W x C"):
             pipeline.transmit_image(np.full(shape, 0.5), desk_config(semantic=False))
 
-    def test_float32_image_in_range_accepted(self, image):
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (16, 10, 3), (1, 40, 1)])
+    def test_image_under_the_ms_ssim_window_rejected_before_any_work(self, shape, monkeypatch):
+        monkeypatch.setattr(pipeline, "split_source", None)
+        with pytest.raises(ValueError, match=f"at least the {metrics.WINDOW} px"):
+            pipeline.transmit_image(np.full(shape, 0.5), desk_config(semantic=False))
+
+    def test_image_of_the_ms_ssim_window_accepted(self):
+        side = metrics.WINDOW
+        x_hat, _, report = pipeline.transmit_image(
+            np.full((side, side, 3), 0.5), desk_config(semantic=False)
+        )
+        assert x_hat.shape == (side, side, 3) and 0.0 <= report["ms_ssim"] <= 1.0
+
+    def test_single_precision_image_in_range_accepted(self, image):
         cfg = desk_config(snr_db=9.0, semantic=False)
         x_hat, _, report = pipeline.transmit_image(image.astype(np.float32), cfg)
         assert x_hat.shape == image.shape and not report["corrupted"]
@@ -402,7 +415,7 @@ class TestSemanticForward:
 
     def test_transmit_is_its_batch_of_one(self, loud_model):
         # transmit_image runs the encoder and decoder in float32: its
-        # batch of one takes float32 inputs and the float32 weight copy
+        # batch of one takes float32 inputs, and every layer follows them
         x = data.make_corpus(count=1, size=16, seed=5)[0]
         cfg = desk_config(snr_db=6.0)
         x_hat, frame, _ = pipeline.transmit_image(x, cfg, seed=3, model=loud_model)
@@ -412,18 +425,14 @@ class TestSemanticForward:
             [blob], [x_ref.shape], cfg, pcm, [6]
         )
         inputs = ([a.astype(np.float32)] for a in (x_ref, x_r, x_c_hat))
-        with (
-            frozen(loud_model.parameters()),
-            loud_model.encoder.float32(),
-            loud_model.decoder.float32(),
-        ):
+        with frozen(loud_model.parameters()):
             out = pipeline.semantic_forward(loud_model, *inputs, cfg.channel, [3])
         assert x_hat.dtype == np.float64 and out["x_hat"].data.dtype == np.float32
         np.testing.assert_array_equal(x_hat, out["x_hat"].data[0].transpose(1, 2, 0))
         assert frame.semantic_dims == int(out["alloc"].totals()[0])
 
     @pytest.mark.parametrize("size", [16, 32, 64])
-    def test_float32_conv_stacks_match_float64(self, loud_model, size):
+    def test_single_precision_conv_stacks_match_float64(self, loud_model, size):
         # float64 from the quantizer on: no rounding of s or r and no
         # rate decision moves, and x_hat moves by float32 rounding only
         images = data.make_corpus(count=8, size=size, seed=21)
@@ -433,8 +442,7 @@ class TestSemanticForward:
         with frozen(loud_model.parameters()):
             wide = pipeline.semantic_forward(loud_model, refs, residuals, x_cs, chan, keys)
             inputs = ([a.astype(np.float32) for a in part] for part in (refs, residuals, x_cs))
-            with loud_model.encoder.float32(), loud_model.decoder.float32():
-                narrow = pipeline.semantic_forward(loud_model, *inputs, chan, keys)
+            narrow = pipeline.semantic_forward(loud_model, *inputs, chan, keys)
         assert np.count_nonzero(wide["s_tilde"].data)
         for name in ("s_tilde", "r_tilde"):
             assert narrow[name].data.dtype == np.float64
@@ -588,8 +596,8 @@ class TestFullPipeline:
 
 
 class TestFloat32Inference:
-    """transmit_image runs the encoder and decoder in float32 on a weight
-    copy that follows every weight state; training stays float64."""
+    """transmit_image runs the encoder and decoder in float32 on weight
+    casts that follow every weight state; training stays float64."""
 
     @staticmethod
     def spy_convs(monkeypatch):
@@ -603,7 +611,7 @@ class TestFloat32Inference:
             monkeypatch.setattr(autodiff, name, spy)
         return seen
 
-    def test_conv_stacks_run_in_float32_and_the_hyper_in_float64(
+    def test_conv_stacks_run_in_single_precision_and_the_hyper_in_float64(
         self, image, model, monkeypatch
     ):
         seen = self.spy_convs(monkeypatch)
@@ -614,6 +622,23 @@ class TestFloat32Inference:
         assert sum(in_hyper) == 2 and len(seen) > 2
         for (x_dtype, w_dtype, _), wide in zip(seen, in_hyper):
             assert x_dtype == w_dtype == (np.float64 if wide else np.float32)
+
+    def test_parameters_keep_their_arrays_during_a_transmit(self, image, model, monkeypatch):
+        # the float32 work runs on casts: no parameter's data is swapped
+        # out, not even while the convolutions run
+        params = model.encoder.parameters() + model.decoder.parameters()
+        arrays = [p.data for p in params]
+        intact = []
+        conv2d = autodiff.conv2d
+
+        def spy(*args, **kwargs):
+            intact.append(all(p.data is a for p, a in zip(params, arrays)))
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "conv2d", spy)
+        pipeline.transmit_image(image, desk_config(), seed=0, model=model)
+        assert len(intact) > 2 and all(intact)
+        assert all(a.dtype == np.float64 for a in arrays)
 
     def test_training_forward_runs_in_float64(self, image, model, monkeypatch):
         seen = self.spy_convs(monkeypatch)
