@@ -186,10 +186,12 @@ def _extend_amplitude(bits, size):
 def _forward_blocks(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
     h, w = plane.shape
     blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    # one plane per call and an einsum, not a matmul: the einsum's sum
-    # order depends on the batch size and a matmul regroups the sum, and
-    # either moves np.round at half-integer ties and so the bytes
-    coeff = np.einsum("ij,bjk,lk->bil", DCT, blocks - 128.0, DCT)
+    # one C-ordered plane per call and an einsum, not a matmul: the
+    # einsum's sum order depends on the batch size and on the memory
+    # layout (a plane one block tall or wide reshapes to a strided view),
+    # and a matmul regroups the sum; each moves np.round at half-integer
+    # ties and so the bytes
+    coeff = np.einsum("ij,bjk,lk->bil", DCT, np.ascontiguousarray(blocks) - 128.0, DCT)
     quant = np.round(coeff / table)
     # L2 keeps any single coefficient within +-1024; the prefix code tops
     # out at 10-bit AC amplitudes, so pin the corner case

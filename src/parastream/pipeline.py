@@ -276,10 +276,10 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
     r_tilde, mu, sigma and alloc (None on bypass).
 
-    The encoder and decoder run in the dtype of their inputs; from the
-    quantizer to the banks the chain runs in float64, and s_hat enters
-    the decoder in the dtype of x_c_hats. In training everything is
-    float64 and every cast is a no-op.
+    The encoder and decoder run in the dtype of their inputs, float32
+    in both transmit_image and training; from the quantizer to the banks
+    the chain runs in float64, and s_hat enters the decoder in the dtype
+    of x_c_hats. x_hat comes out in that dtype too.
     """
     s, r = (
         t.astype(np.float64)

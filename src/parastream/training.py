@@ -17,6 +17,16 @@ Each step sends its whole batch through one
 over every frame) and then through `pipeline.semantic_forward`, the
 chain `transmit_image` runs, on per-image channel trials (see
 `training_forward`) that never repeat within or across the stages.
+
+Training runs in the precisions `transmit_image` runs in. The encoder
+and decoder get float32 inputs, so they run forward and backward in
+float32 on the float32 casts their float64 parameters keep per weight
+state; `Adam.step` bumps each parameter's `version`, so the next step
+casts afresh. Each cast passes its gradient back widened to float64, so
+every parameter, gradient and Adam moment stays float64: the
+master-weight scheme of Micikevicius et al., "Mixed Precision
+Training", ICLR 2018. The quantizer, the hyper synthesis, the rate
+allocation, the banks, the analog channel and the loss stay float64.
 """
 
 from __future__ import annotations
@@ -126,7 +136,8 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     image i crosses the channel as t = 3 * (trial + i) + stage - 1, its
     conventional stream at channel trial 2t and its semantic stream at
     2t + 1. Returns (loss, parts) where parts is semantic_forward's
-    dict: x_hat, s_tilde, r_tilde, mu, sigma, and alloc (None in stage 1).
+    dict: x_hat (cast back to float64), s_tilde, r_tilde, mu, sigma, and
+    alloc (None in stage 1). The encoder and decoder run in float32.
     Every image passes the checks of transmit_image before any work, but
     for its minimum side: training computes no MS-SSIM.
     """
@@ -139,7 +150,9 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     shapes, cfg = [x.shape for x in refs], replace(pcfg, channel=chan)
     sent = _send_conventional(blobs, shapes, cfg, pcm, [2 * t for t in keys])
     x_c_hats = [x_c_hat for x_c_hat, _, _ in sent]
-    parts = semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng, stage == 1)
+    inputs = ([a.astype(np.float32) for a in arrays] for arrays in (refs, residuals, x_c_hats))
+    parts = semantic_forward(model, *inputs, chan, keys, rng, stage == 1)
+    parts["x_hat"] = parts["x_hat"].astype(np.float64)
     loss_inputs = [parts[name] for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma")]
     return rd_loss(batch_to_tensor(refs), *loss_inputs, model, pcfg.lambda1), parts
 

@@ -387,6 +387,22 @@ def toy_images(n=3, size=8):
     return data.make_corpus(count=n, size=size, seed=500)
 
 
+def float64_training_chain(monkeypatch):
+    """Make `training.training_forward` run the whole chain in float64:
+    the float32 refs, residuals and reconstructions it hands
+    `semantic_forward` are widened back to float64, so every layer runs
+    in the dtype of its float64 parameters and every cast is a no-op."""
+    from parastream import training
+
+    semantic_forward = training.semantic_forward
+
+    def widened(model, *args):
+        images = [[a.astype(np.float64) for a in arrays] for arrays in args[:3]]
+        return semantic_forward(model, *images, *args[3:])
+
+    monkeypatch.setattr(training, "semantic_forward", widened)
+
+
 # Bit-serial block-DCT coder: the reference that codec.compress and
 # codec.decompress must match byte for byte and decode for decode. It
 # writes one field at a time through a bit accumulator, reads one bit
@@ -526,7 +542,8 @@ def compress_oracle(x, q):
         plane = np.pad(pixels[:, :, ch], ((0, pad_h), (0, pad_w)), mode="edge")
         hp, wp = plane.shape
         blocks = plane.reshape(hp // 8, 8, wp // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-        coeff = np.einsum("ij,bjk,lk->bil", codec.DCT, blocks - 128.0, codec.DCT)
+        blocks = np.ascontiguousarray(blocks) - 128.0
+        coeff = np.einsum("ij,bjk,lk->bil", codec.DCT, blocks, codec.DCT)
         quant = np.clip(np.round(coeff / table), -1023, 1023)
         quant[:, 0, 0] = np.clip(np.round(coeff[:, 0, 0] / table[0, 0]), -1024, 1016)
         prev_dc = 0

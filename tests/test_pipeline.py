@@ -596,8 +596,9 @@ class TestFullPipeline:
 
 
 class TestFloat32Inference:
-    """transmit_image runs the encoder and decoder in float32 on weight
-    casts that follow every weight state; training stays float64."""
+    """transmit_image and training_forward run the encoder and decoder in
+    float32 on weight casts that follow every weight state; parameters,
+    gradients, Adam's moments and the loss stay float64."""
 
     @staticmethod
     def spy_convs(monkeypatch):
@@ -611,17 +612,21 @@ class TestFloat32Inference:
             monkeypatch.setattr(autodiff, name, spy)
         return seen
 
+    @staticmethod
+    def assert_conv_stacks_single_precision(seen, model):
+        hyper = model.hyper.parameters()
+        in_hyper = [any(w is p for p in hyper) for _, _, w in seen]
+        assert sum(in_hyper) == 2 and len(seen) > 2
+        for (x_dtype, w_dtype, _), wide in zip(seen, in_hyper):
+            assert x_dtype == w_dtype == (np.float64 if wide else np.float32)
+
     def test_conv_stacks_run_in_single_precision_and_the_hyper_in_float64(
         self, image, model, monkeypatch
     ):
         seen = self.spy_convs(monkeypatch)
         x_hat, _, _ = pipeline.transmit_image(image, desk_config(), seed=0, model=model)
         assert x_hat.dtype == np.float64
-        hyper = model.hyper.parameters()
-        in_hyper = [any(w is p for p in hyper) for _, _, w in seen]
-        assert sum(in_hyper) == 2 and len(seen) > 2
-        for (x_dtype, w_dtype, _), wide in zip(seen, in_hyper):
-            assert x_dtype == w_dtype == (np.float64 if wide else np.float32)
+        self.assert_conv_stacks_single_precision(seen, model)
 
     def test_parameters_keep_their_arrays_during_a_transmit(self, image, model, monkeypatch):
         # the float32 work runs on casts: no parameter's data is swapped
@@ -640,13 +645,23 @@ class TestFloat32Inference:
         assert len(intact) > 2 and all(intact)
         assert all(a.dtype == np.float64 for a in arrays)
 
-    def test_training_forward_runs_in_float64(self, image, model, monkeypatch):
+    def test_training_runs_conv_stacks_in_single_precision_on_float64_masters(
+        self, image, monkeypatch
+    ):
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
         seen = self.spy_convs(monkeypatch)
-        training.training_forward(
+        loss, parts = training.training_forward(
             model, [image, image], desk_config(), 6.0, make_rng(3), 3,
             pipeline.load_code(), trial=0,
         )
-        assert seen and all(x == w == np.float64 for x, w, _ in seen)
+        self.assert_conv_stacks_single_precision(seen, model)
+        assert loss.data.dtype == parts["x_hat"].data.dtype == np.float64
+        opt = training.Adam(model.parameters(), 1e-3)
+        loss.backward()
+        opt.step()
+        assert all(p.grad is not None for p in opt.params)
+        for array in [a for p in opt.params for a in (p.data, p.grad)] + opt.m + opt.v:
+            assert array.dtype == np.float64
 
     @staticmethod
     def same_as_fresh(model, image):

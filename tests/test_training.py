@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from parastream import ldpc, pipeline, rate, training
+from parastream import data, ldpc, pipeline, rate, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig, ChannelRealization, draw_realization
 from parastream.layers import frozen
@@ -22,7 +22,13 @@ from parastream.training import (
     training_forward,
 )
 
-from helpers import adam_step_oracle, gradcheck, toy_images, toy_model
+from helpers import (
+    adam_step_oracle,
+    float64_training_chain,
+    gradcheck,
+    toy_images,
+    toy_model,
+)
 
 
 def toy_pipeline(lambda1=0.05):
@@ -370,9 +376,45 @@ class TestTrainingForward:
             grads.append([p.grad.tobytes() for p in model.banks.parameters()])
         assert grads[0] == grads[1]
 
-    def test_end_to_end_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("snr_db", [2.0, 10.0])
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_gradients_match_the_float64_chain(self, monkeypatch, stage, snr_db):
+        # float32 conv stacks on float64 master weights give every
+        # parameter the gradient of the float64 chain to float32 accuracy
+        model = pipeline.SemanticModel(pipeline.ModelConfig())
+        images = data.make_corpus(count=2, size=16, seed=3)
+        pcfg = PipelineConfig()
+        pcm = load_code(pcfg.code)
+        grads = []
+        for wide in (False, True):
+            if wide:
+                float64_training_chain(monkeypatch)
+            model.zero_grad()
+            loss, _ = training_forward(
+                model, images, pcfg, snr_db, make_rng(5), stage, pcm, trial=0
+            )
+            loss.backward()
+            grads.append({n: p.grad for n, p in model.named_parameters() if p.grad is not None})
+        single, double = grads
+        assert single.keys() == double.keys() and len(single) > 100
+        largest = max(np.linalg.norm(g) for g in double.values())
+        for name, g in double.items():
+            gap = np.linalg.norm(single[name] - g)
+            if name.endswith(".fc.bias"):
+                # one bias added to both logits cancels in the softmax, so
+                # the true gradient is zero: bound it at float32 resolution
+                # of the largest gradient
+                assert gap <= np.finfo(np.float32).eps * largest, name
+            else:
+                assert gap <= 5e-4 * np.linalg.norm(g), name
+
+    def test_end_to_end_gradients_match_finite_differences(self, monkeypatch):
         # a deterministic closure (fresh rng per call) makes central
-        # differences through the whole training graph meaningful
+        # differences through the whole training graph meaningful. They
+        # need the float64 chain: float32 conv stacks cannot resolve them,
+        # and an in-place perturbation bumps no `version`, so the kept
+        # float32 casts would not even see it
+        float64_training_chain(monkeypatch)
         model = toy_model()
         model.banks.tokens.data[:] = 0.5
         pcfg = toy_pipeline()
@@ -529,6 +571,33 @@ class TestTrainLoop:
         assert all(p.grad is None for p in model.parameters())
         model, _ = train(self._cfg(2, steps=2), toy_images(), model, toy_pipeline())
         assert all(p.grad is None for p in model.parameters())
+
+    def test_weight_casts_kept_from_a_transmit_do_not_change_training(self):
+        # a model that has transmitted keeps float32 casts of its weights.
+        # One that transmits before each stage of a 3:2:3 schedule gives
+        # the bytes of a run that starts every stage on a fresh model
+        # loaded with the same state, and a second such run repeats them
+        state = toy_model(seed=4).state_dict()
+        image = toy_images(1, size=16)[0]
+
+        def schedule(transmitted):
+            model, histories = toy_model(), []
+            model.load_state_dict(state)
+            for stage, steps in ((1, 3), (2, 2), (3, 3)):
+                if transmitted:
+                    pipeline.transmit_image(image, toy_pipeline(), seed=2, model=model)
+                    assert all(p._cast is not None for p in model.encoder.parameters())
+                else:
+                    fresh = toy_model()
+                    fresh.load_state_dict(model.state_dict())
+                    fresh.stage, model = model.stage, fresh
+                model, history = train(self._cfg(stage, steps), toy_images(), model, toy_pipeline())
+                histories.append(np.array(history).tobytes())
+            return histories, [a.tobytes() for a in model.state_dict().values()]
+
+        first = schedule(transmitted=True)
+        assert first == schedule(transmitted=False)
+        assert first == schedule(transmitted=True)
 
     def test_checkpoint_round_trip(self, tmp_path):
         model = toy_model(seed=3)
