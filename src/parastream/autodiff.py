@@ -1,18 +1,18 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-The engine is deliberately small: graph edges held by closures, and
-only the operations the semantic branch actually needs (elementwise
-arithmetic, matmul, reductions, reshaping, indexing, 2-D convolution and
-its adjoint, and a handful of activations). There is no GPU path and no
-broadcasting beyond what the layers in this package use.
+The engine is deliberately small: a node holds its operands and their
+local gradients, and only the operations the semantic branch needs
+(elementwise arithmetic, matmul, reductions, reshaping, indexing, 2-D
+convolution and its adjoint, and a handful of activations). There is no
+GPU path and no broadcasting beyond what the layers in this package use.
 
-An op gives its value and its local gradients: for each operand, a
-function from the output gradient g to that operand's share of it.
-``_unary`` and ``_binary`` record the graph edge, reduce a broadcast
-gradient to its operand's shape, and decide whether the array is kept as
-the gradient or copied (``owned``). Only the convolutions, with three
-edges, and ``concat``, with a list of them, write their own backward
-closure.
+Every op gives ``Tensor._from_op`` its value and, per operand, a pair of
+the operand and its local gradient: a function from the output gradient
+g to that operand's share of it, its vector-Jacobian product (Baydin et
+al., JMLR 2018). Only pairs whose operand requires grad when the op runs
+become graph edges. ``Tensor.backward`` alone calls a local gradient,
+reduces a broadcast to the operand's shape and accumulates the result,
+keeping or copying the array as the op's ``owned`` flag says.
 
 One patch kernel (``_im2col``, then a GEMM) and its adjoint serve both
 convolutions, forward and backward: each is one op's forward pass and
@@ -73,8 +73,9 @@ _FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class Tensor:
-    """Dense float32 or float64 array plus an optional edge into the
-    backward graph.
+    """Dense float32 or float64 array plus the graph edges of the op that
+    made it: ``_edges``, its (operand, local gradient) pairs in operand
+    order, and ``_owned`` (see :func:`_accumulate`), read by ``backward``.
 
     ``data`` keeps float32 as float32; any other dtype becomes float64.
     ``version`` counts in-place writes to ``data``. Code that writes into
@@ -85,7 +86,7 @@ class Tensor:
     that skips the bump leaves the cast stale.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "version", "_parents", "_grad_fn", "_spent",
+    __slots__ = ("data", "grad", "requires_grad", "version", "_edges", "_owned", "_spent",
                  "_cast")
 
     def __init__(self, data, requires_grad: bool = False):
@@ -96,24 +97,24 @@ class Tensor:
         self.version = 0
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
-        self._grad_fn = None
+        self._edges = ()  # _owned is set with the edges, by _from_op
         self._spent = False
-        self._cast = None  # (source array, its version, cast array), see astype
+        self._cast = None  # (source array, its version, cast tensor), see astype
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _from_op(data, parents, grad_fn):
-        """Output of an op. Its graph edges go to the parents that require
-        grad now, when the op runs; ``grad_fn`` accumulates into those
-        alone (see :func:`_live`), whatever the flags are at backward."""
+    def _from_op(data, edges, owned: bool = True):
+        """Output of an op with its (operand, local gradient) pairs. Only
+        pairs whose operand requires grad now, when the op runs, become
+        edges, whatever the flags are at backward; ``owned`` is False when
+        a local gradient returns g or a view of it."""
         out = Tensor(data)
-        live = tuple(p for p in parents if p.requires_grad)
-        if live:
+        edges = [edge for edge in edges if edge[0].requires_grad]
+        if edges:
             out.requires_grad = True
-            out._parents = live
-            out._grad_fn = grad_fn
+            out._edges = edges
+            out._owned = owned
         return out
 
     @property
@@ -134,15 +135,18 @@ class Tensor:
     def astype(self, dtype) -> Tensor:
         """These values as ``dtype`` (float32 or float64); the tensor
         itself when its dtype already matches. The gradient flows back
-        cast to this tensor's dtype. The cast array is kept and handed out
-        again while ``data`` is the same array at the same ``version``."""
+        cast to this tensor's dtype. The cast tensor is kept while ``data``
+        is the same array at the same ``version``, and handed out itself
+        while this tensor needs no gradient."""
         source = self.data.dtype
         if source == dtype:
             return self
         kept = self._cast
         if kept is None or kept[0] is not self.data or kept[1] != self.version:
-            kept = self._cast = (self.data, self.version, self.data.astype(dtype))
-        return _unary(self, kept[2], lambda g: g.astype(source))
+            kept = self._cast = (self.data, self.version, Tensor(self.data.astype(dtype)))
+        if not self.requires_grad:
+            return kept[2]
+        return Tensor._from_op(kept[2].data, [(self, lambda g: g.astype(source))])
 
     # -- backward pass ---------------------------------------------------
 
@@ -174,25 +178,28 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack_.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack_.append((parent, False))
+            for operand, _ in node._edges:
+                if id(operand) not in seen:
+                    stack_.append((operand, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._grad_fn is not None:
-                node._grad_fn(node.grad)
+            for operand, local_grad in node._edges:
+                g = _unbroadcast(local_grad(node.grad), operand.data.shape)
+                _accumulate(operand, g, node._owned)
         self._spent = True
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other, self)
-        return _binary(self, other, self.data + other.data, lambda g: g, lambda g: g, owned=False)
+        return Tensor._from_op(
+            self.data + other.data, [(self, lambda g: g), (other, lambda g: g)], owned=False
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _unary(self, -self.data, lambda g: -g)
+        return Tensor._from_op(-self.data, [(self, np.negative)])
 
     def __sub__(self, other):
         return self + (-_wrap(other, self))
@@ -202,20 +209,21 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other, self)
-        return _binary(
-            self, other, self.data * other.data,
-            lambda g: g * other.data,
-            lambda g: g * self.data,
+        return Tensor._from_op(
+            self.data * other.data,
+            [(self, lambda g: g * other.data), (other, lambda g: g * self.data)],
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _wrap(other, self)
-        return _binary(
-            self, other, self.data / other.data,
-            lambda g: g / other.data,
-            lambda g: -g * self.data / (other.data * other.data),
+        return Tensor._from_op(
+            self.data / other.data,
+            [
+                (self, lambda g: g / other.data),
+                (other, lambda g: -g * self.data / (other.data * other.data)),
+            ],
         )
 
     def __rtruediv__(self, other):
@@ -224,18 +232,20 @@ class Tensor:
     def __pow__(self, exponent):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        return _unary(
-            self, self.data ** exponent, lambda g: g * exponent * self.data ** (exponent - 1)
+        return Tensor._from_op(
+            self.data ** exponent, [(self, lambda g: g * exponent * self.data ** (exponent - 1))]
         )
 
     def __matmul__(self, other):
         other = _wrap(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul operands must have at least 2 dims")
-        return _binary(
-            self, other, np.matmul(self.data, other.data),
-            lambda g: np.matmul(g, np.swapaxes(other.data, -1, -2)),
-            lambda g: np.matmul(np.swapaxes(self.data, -1, -2), g),
+        return Tensor._from_op(
+            np.matmul(self.data, other.data),
+            [
+                (self, lambda g: np.matmul(g, np.swapaxes(other.data, -1, -2))),
+                (other, lambda g: np.matmul(np.swapaxes(self.data, -1, -2), g)),
+            ],
         )
 
     # -- shape manipulation -------------------------------------------------
@@ -244,14 +254,16 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src_shape = self.data.shape
-        return _unary(self, self.data.reshape(shape), lambda g: g.reshape(src_shape), owned=False)
+        return Tensor._from_op(
+            self.data.reshape(shape), [(self, lambda g: g.reshape(src_shape))], owned=False
+        )
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-        return _unary(
-            self, self.data.transpose(axes), lambda g: g.transpose(inverse), owned=False
+        return Tensor._from_op(
+            self.data.transpose(axes), [(self, lambda g: g.transpose(inverse))], owned=False
         )
 
     def __getitem__(self, index):
@@ -262,7 +274,7 @@ class Tensor:
             np.add.at(full, index, g)
             return full
 
-        return _unary(self, self.data[index], scatter)
+        return Tensor._from_op(self.data[index], [(self, scatter)])
 
     # -- reductions -----------------------------------------------------------
 
@@ -274,7 +286,9 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return np.broadcast_to(g, src_shape)
 
-        return _unary(self, self.data.sum(axis=axis, keepdims=keepdims), spread, owned=False)
+        return Tensor._from_op(
+            self.data.sum(axis=axis, keepdims=keepdims), [(self, spread)], owned=False
+        )
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -297,24 +311,14 @@ def _wrap(value, like: Tensor | None = None) -> Tensor:
     return Tensor(value)
 
 
-def _live(*tensors):
-    """Each tensor that requires grad when the op runs, None for the
-    others (and for absent operands): what a multi-parent op's backward
-    closure accumulates into. A single-parent op needs no such record,
-    since it has a graph edge only when its parent required grad."""
-    return [t if t is not None and t.requires_grad else None for t in tensors]
-
-
-def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
-    """Add g into t.grad; nothing for t None. A first gradient becomes an
-    array of t's shape and dtype: g itself when the caller owns it
-    (owned=True: an array the op built, which no other tensor sees) and
-    g is an ndarray of that shape and dtype, else a copy of g broadcast
-    and cast to them. So an op that mixes float32 and float64 operands
-    gives each operand a gradient of its own dtype, and the NumPy scalar
-    an op on 0-d arrays returns becomes a 0-d array."""
-    if t is None:
-        return
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool):
+    """Add g into t.grad. A first gradient becomes an array of t's shape
+    and dtype: g itself when the op owns it (owned=True: an array the
+    local gradient built, which no other tensor sees) and g is an ndarray
+    of that shape and dtype, else a copy of g broadcast and cast to them.
+    So an op that mixes float32 and float64 operands gives each operand a
+    gradient of its own dtype, and the NumPy scalar an op on 0-d arrays
+    returns becomes a 0-d array."""
     if t.grad is None:
         if owned and type(g) is np.ndarray and g.shape == t.data.shape and g.dtype == t.data.dtype:
             t.grad = g
@@ -325,7 +329,9 @@ def _accumulate(t: Tensor | None, g: np.ndarray, owned: bool = False):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
+    """Reduce a broadcast gradient back to the operand's shape, if it differs."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -335,55 +341,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _unary(t: Tensor, out_data, local_grad, owned: bool = True) -> Tensor:
-    """Output ``out_data`` of an op on t alone, with its graph edge:
-    backward accumulates ``local_grad(g)`` into t. ``owned`` is False
-    when local_grad returns g or a view of it (see :func:`_accumulate`).
-    With t not requiring grad, the output is a plain tensor and no
-    closure is built."""
-    if not t.requires_grad:
-        return Tensor(out_data)
-
-    def grad_fn(g):
-        _accumulate(t, local_grad(g), owned)
-
-    return Tensor._from_op(out_data, (t,), grad_fn)
-
-
-def _binary(a: Tensor, b: Tensor, out_data, grad_a, grad_b, owned: bool = True) -> Tensor:
-    """Output ``out_data`` of an op on a and b, with its graph edges:
-    backward accumulates ``grad_a(g)`` into a and ``grad_b(g)`` into b,
-    each reduced to its operand's shape. Each is computed only for an
-    operand that required grad when the op ran. ``owned`` and the plain
-    output for operands that need no gradient as in :func:`_unary`."""
-    a_live, b_live = _live(a, b)
-    if a_live is None and b_live is None:
-        return Tensor(out_data)
-
-    def grad_fn(g):
-        if a_live is not None:
-            _accumulate(a_live, _unbroadcast(grad_a(g), a_live.data.shape), owned)
-        if b_live is not None:
-            _accumulate(b_live, _unbroadcast(grad_b(g), b_live.data.shape), owned)
-
-    return Tensor._from_op(out_data, (a, b), grad_fn)
-
-
 # -- joining ------------------------------------------------------------------
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """Join along an existing axis; each operand's local gradient is its
+    slice of g."""
     tensors = [_wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-    live = _live(*tensors)
-
-    def grad_fn(g):
-        for t, piece in zip(live, np.split(g, offsets, axis=axis)):
-            _accumulate(t, piece)
-
-    return Tensor._from_op(out_data, tuple(tensors), grad_fn)
+    lead = (slice(None),) * (axis % out_data.ndim)
+    edges, start = [], 0
+    for t in tensors:
+        stop = start + t.data.shape[axis]
+        edges.append((t, lambda g, piece=lead + (slice(start, stop),): g[piece]))
+        start = stop
+    return Tensor._from_op(out_data, edges, owned=False)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -403,36 +375,36 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def exp(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.exp(t.data)
-    return _unary(t, out_data, lambda g: g * out_data)
+    return Tensor._from_op(out_data, [(t, lambda g: g * out_data)])
 
 
 def log(t: Tensor) -> Tensor:
     t = _wrap(t)
-    return _unary(t, np.log(t.data), lambda g: g / t.data)
+    return Tensor._from_op(np.log(t.data), [(t, lambda g: g / t.data)])
 
 
 def sqrt(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.sqrt(t.data)
-    return _unary(t, out_data, lambda g: g * 0.5 / out_data)
+    return Tensor._from_op(out_data, [(t, lambda g: g * 0.5 / out_data)])
 
 
 def tanh(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = np.tanh(t.data)
-    return _unary(t, out_data, lambda g: g * (1.0 - out_data * out_data))
+    return Tensor._from_op(out_data, [(t, lambda g: g * (1.0 - out_data * out_data))])
 
 
 def sigmoid(t: Tensor) -> Tensor:
     t = _wrap(t)
     out_data = _sp.expit(t.data)
-    return _unary(t, out_data, lambda g: g * out_data * (1.0 - out_data))
+    return Tensor._from_op(out_data, [(t, lambda g: g * out_data * (1.0 - out_data))])
 
 
 def softplus(t: Tensor) -> Tensor:
     """log(1 + e^x), evaluated as logaddexp for numerical safety."""
     t = _wrap(t)
-    return _unary(t, np.logaddexp(0.0, t.data), lambda g: g * _sp.expit(t.data))
+    return Tensor._from_op(np.logaddexp(0.0, t.data), [(t, lambda g: g * _sp.expit(t.data))])
 
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
@@ -440,8 +412,8 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 def erf(t: Tensor) -> Tensor:
     t = _wrap(t)
-    return _unary(
-        t, _sp.erf(t.data), lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data)
+    return Tensor._from_op(
+        _sp.erf(t.data), [(t, lambda g: g * _TWO_OVER_SQRT_PI * np.exp(-t.data * t.data))]
     )
 
 
@@ -449,7 +421,7 @@ def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
     t = _wrap(t)
     positive = t.data > 0
     out_data = np.where(positive, t.data, slope * t.data)
-    return _unary(t, out_data, lambda g: g * np.where(positive, 1.0, slope))
+    return Tensor._from_op(out_data, [(t, lambda g: g * np.where(positive, 1.0, slope))])
 
 
 # -- 2-D convolution and its adjoint ------------------------------------------
@@ -534,29 +506,21 @@ def _conv_operands(op: str, x, weight, bias, x_axis: int):
     return x, weight, bias
 
 
-def _conv_output(out_data, x, weight, bias, backward) -> Tensor:
-    """out_data plus the bias, with graph edges into x, weight and bias.
-    ``backward(g, want_x)`` gives x's gradient (None unless want_x), a
-    fresh array, and the pair (a, cols) whose a @ colsᵀ, summed over the
-    batch in order, is the weight's."""
-    parents = (x, weight)
+def _weight_grad(a, cols, shape):
+    """The weight gradient: a[b] @ cols[b]ᵀ summed in batch order, one GEMM
+    per image, as an array of ``shape``."""
+    gw = a[0] @ cols[0].T
+    for i in range(1, len(a)):
+        gw += a[i] @ cols[i].T
+    return gw.reshape(shape)
+
+
+def _conv_output(out_data, edges, bias) -> Tensor:
+    """out_data plus the bias, whose edge follows those into x and weight."""
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
-        parents += (bias,)
-    x_live, w_live, b_live = _live(x, weight, bias)
-
-    def grad_fn(g):
-        gx, a, cols = backward(g, x_live is not None)
-        _accumulate(x_live, gx, owned=True)
-        if w_live is not None:
-            gw = a[0] @ cols[0].T
-            for i in range(1, len(a)):
-                gw += a[i] @ cols[i].T
-            _accumulate(w_live, gw.reshape(weight.data.shape), owned=True)
-        if b_live is not None:
-            _accumulate(b_live, g.sum(axis=(0, 2, 3)), owned=True)
-
-    return Tensor._from_op(out_data, parents, grad_fn)
+        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return Tensor._from_op(out_data, edges)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -575,11 +539,11 @@ def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1, padding: int =
     cols = _im2col(x.data, k, stride, padding, h_out, w_out)
     out_data = np.matmul(w_mat, cols).reshape(batch, c_out, h_out, w_out)
 
-    def backward(g, want_x):
-        gx = _adjoint(g, kernels, stride, padding, h_in, w_in) if want_x else None
-        return gx, g.reshape(batch, c_out, h_out * w_out), cols
-
-    return _conv_output(out_data, x, weight, bias, backward)
+    edges = [
+        (x, lambda g: _adjoint(g, kernels, stride, padding, h_in, w_in)),
+        (weight, lambda g: _weight_grad(g.reshape(batch, c_out, -1), cols, kernels.shape)),
+    ]
+    return _conv_output(out_data, edges, bias)
 
 
 def conv_transpose2d(
@@ -601,12 +565,14 @@ def conv_transpose2d(
     x_flat = x.data.reshape(batch, c_in, h_in * w_in)
     out_data = _adjoint(x.data, weight.data, stride, padding, h_out, w_out)
 
-    def backward(g, want_x):
-        g_cols = _im2col(g, k, stride, padding, h_in, w_in)
-        gx = np.matmul(w_mat, g_cols).reshape(x.data.shape) if want_x else None
-        return gx, x_flat, g_cols
+    def g_cols(g):
+        return _im2col(g, k, stride, padding, h_in, w_in)
 
-    return _conv_output(out_data, x, weight, bias, backward)
+    edges = [
+        (x, lambda g: np.matmul(w_mat, g_cols(g)).reshape(x.data.shape)),
+        (weight, lambda g: _weight_grad(x_flat, g_cols(g), weight.data.shape)),
+    ]
+    return _conv_output(out_data, edges, bias)
 
 
 # -- composite ops used across the semantic branch ----------------------------

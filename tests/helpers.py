@@ -342,7 +342,9 @@ def max_rel_error(analytic, numeric):
 def gradcheck(fn, tensors, eps=1e-4):
     """Compare backward() gradients of the scalar ``fn()`` against central
     finite differences for every tensor in ``tensors``. ``fn`` must rebuild
-    the graph on each call. Returns the worst relative error observed."""
+    the graph on each call. Each in-place write bumps the tensor's
+    ``version``, so a layer that reads it through a kept ``astype`` cast
+    sees it. Returns the worst relative error observed."""
     for t in tensors:
         t.grad = None
     out = fn()
@@ -357,10 +359,13 @@ def gradcheck(fn, tensors, eps=1e-4):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
+            t.version += 1
             hi = float(fn().data)
             flat[idx] = orig - eps
+            t.version += 1
             lo = float(fn().data)
             flat[idx] = orig
+            t.version += 1
             nflat[idx] = (hi - lo) / (2.0 * eps)
         worst = max(worst, max_rel_error(analytic, numeric))
     return worst

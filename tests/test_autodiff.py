@@ -2,6 +2,8 @@
 finite-difference gradient checks for every primitive."""
 
 import hashlib
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -148,7 +150,8 @@ class TestElementwiseGradients:
         err = gradcheck(lambda: projection_loss(a @ b, proj), [a, b])
         assert err < GRAD_TOL
 
-    def test_getitem_concat_reshape(self):
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_getitem_concat_reshape(self, axis):
         rng = np.random.default_rng(8)
         a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         proj = rng.standard_normal((2, 8))
@@ -156,10 +159,43 @@ class TestElementwiseGradients:
         def build():
             top = a[:2, :]
             bottom = a[2:, :]
-            joined = ad.concat([top * 2.0, bottom], axis=1)
+            joined = ad.concat([top * 2.0, bottom], axis=axis)
             return projection_loss(joined.reshape(2, 8), proj)
 
         err = gradcheck(build, [a])
+        assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_concat_unequal_pieces_with_one_frozen(self, axis):
+        # each piece's gradient is its own slice of g: freezing the middle
+        # piece leaves it without one and the others' bits unchanged
+        rng = np.random.default_rng(18)
+        pieces = [
+            Tensor(rng.standard_normal((3, width)), requires_grad=True) for width in (2, 3, 4)
+        ]
+        proj = rng.standard_normal((3, 9))
+
+        def build():
+            return projection_loss(ad.concat([p * p for p in pieces], axis=axis), proj)
+
+        build().backward()
+        live = [pieces[0].grad, pieces[2].grad]
+        for p in pieces:
+            p.grad = None
+        with frozen([pieces[1]]):
+            build().backward()
+            err = gradcheck(build, [pieces[0], pieces[2]])
+        assert pieces[1].grad is None
+        assert err < GRAD_TOL
+        for p, grad in zip((pieces[0], pieces[2]), live):
+            np.testing.assert_array_equal(p.grad, grad)
+
+    def test_stack_last_axis(self):
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        proj = rng.standard_normal((2, 3, 2))
+        err = gradcheck(lambda: projection_loss(ad.stack([a, b * a], axis=-1), proj), [a, b])
         assert err < GRAD_TOL
 
     def test_mean_and_transpose(self):
@@ -476,9 +512,9 @@ class TestFlagsCapturedWhenOpRuns:
 
 
 class TestEdgeHelpers:
-    """Every op that records its edge through _unary or _binary: each
-    tensor's first gradient has its own dtype and buffer, and an operand
-    that needs no gradient gets none computed."""
+    """The elementwise, reshaping and arithmetic ops and their graph
+    edges: each tensor's first gradient has its own dtype and buffer, and
+    an operand that needs no gradient gets no edge and none computed."""
 
     UNARY = {
         "astype": lambda x: x.astype(
@@ -557,19 +593,29 @@ class TestEdgeHelpers:
         ids=["mul-scalar", "rmul-scalar", "div", "matmul", "add", "rsub"],
     )
     def test_constant_operand_gets_no_gradient(self, monkeypatch, op):
-        calls = []
-        unbroadcast = ad._unbroadcast
+        offered, called = [], []
+        from_op = Tensor._from_op
 
-        def counting(grad, shape):
-            calls.append(shape)
-            return unbroadcast(grad, shape)
+        def counted(operand, local_grad):
+            def spy(g):
+                called.append(operand)
+                return local_grad(g)
 
-        monkeypatch.setattr(ad, "_unbroadcast", counting)
+            return spy
+
+        def spying(data, edges, owned=True):
+            offered.extend(operand for operand, _ in edges)
+            return from_op(data, [(t, counted(t, fn)) for t, fn in edges], owned)
+
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(spying))
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         c = Tensor(np.full((2, 2), 4.0))
-        op(x, c).sum().backward()
-        assert calls == [(2, 2)]
-        assert c.grad is None
+        out = op(x, c)
+        out.sum().backward()
+        constants = [t for t in offered if not t.requires_grad]
+        assert constants and c.grad is None
+        assert all(operand.requires_grad for operand, _ in out._edges)
+        assert called and all(t.requires_grad for t in called)
 
 
 class TestGdn:
@@ -754,6 +800,17 @@ def test_oracle_helper_agrees_with_itself_on_identity():
     x = np.random.default_rng(15).standard_normal((1, 1, 4, 4))
     w = np.ones((1, 1, 1, 1))
     np.testing.assert_allclose(conv2d_oracle(x, w, None, 1, 0), x)
+
+
+def test_every_gradient_accumulates_in_backward():
+    # one edge rule: an op records (operand, local gradient) pairs and
+    # Tensor.backward alone turns them into accumulated gradients
+    source = inspect.getsource(ad)
+    calls = re.findall(r"(?<!def )_accumulate\(", source)
+    assert len(calls) == 1
+    assert "_accumulate(" in inspect.getsource(Tensor.backward)
+    for name in ("grad_fn", "_unary", "_binary", "_live"):
+        assert not re.search(rf"\b{name}\b", source), name
 
 
 def test_max_rel_error_floor():

@@ -99,7 +99,8 @@ class TestModule:
 
 class TestAstypeCache:
     """A tensor keeps its last cast and hands the same array out again
-    until its data is rebound or its version bumped."""
+    until its data is rebound or its version bumped; while it needs no
+    gradient, the same cast tensor."""
 
     def test_cast_is_kept_until_the_weight_state_changes(self):
         lin = ly.Linear(3, 2, make_rng(5))
@@ -119,6 +120,22 @@ class TestAstypeCache:
         lin.load_state_dict({"weight": np.ones((3, 2)), "bias": np.zeros(2)})
         assert cast() is not rebound
         np.testing.assert_array_equal(cast(), np.ones((3, 2), np.float32))
+
+    def test_frozen_weight_gets_its_kept_cast_tensor(self):
+        lin = ly.Linear(3, 2, make_rng(5))
+        with ly.frozen(lin.parameters()):
+            first = lin.weight.astype(np.float32)
+            assert lin.weight.astype(np.float32) is first
+            lin.weight.version += 1
+            bumped = lin.weight.astype(np.float32)
+            assert bumped is not first and lin.weight.astype(np.float32) is bumped
+            lin.weight.data = lin.weight.data * 2.0
+            rebound = lin.weight.astype(np.float32)
+            assert rebound is not bumped
+        np.testing.assert_array_equal(rebound.data, lin.weight.data.astype(np.float32))
+        # requiring grad again, each call is a new output with its own edge
+        live = lin.weight.astype(np.float32)
+        assert live is not rebound and live.requires_grad and live.data is rebound.data
 
     def test_in_place_write_without_a_bump_stays_stale(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -300,6 +317,16 @@ class TestLayerGradients:
         proj = rng.standard_normal((5, 3))
         err = gradcheck(lambda: projection_loss(lin(x), proj), [x] + lin.parameters())
         assert err < GRAD_TOL
+
+    def test_linear_layer_on_float32_input(self):
+        # the layer reads its float64 parameters through kept float32
+        # casts, so each finite difference must bump the version it writes
+        rng = make_rng(10)
+        lin = ly.Linear(4, 3, rng)
+        x = Tensor(rng.standard_normal((5, 4)).astype(np.float32))
+        proj = rng.standard_normal((5, 3))
+        err = gradcheck(lambda: projection_loss(lin(x), proj), lin.parameters())
+        assert err < 1e-2
 
     def test_embedding_lookup_and_grad(self):
         rng = make_rng(11)

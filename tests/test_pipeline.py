@@ -550,8 +550,8 @@ class TestFullPipeline:
         made = []
         original = Tensor._from_op
 
-        def spy(data, parents, grad_fn):
-            out = original(data, parents, grad_fn)
+        def spy(data, edges, owned=True):
+            out = original(data, edges, owned)
             made.append(out.requires_grad)
             return out
 

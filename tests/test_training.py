@@ -411,9 +411,9 @@ class TestTrainingForward:
     def test_end_to_end_gradients_match_finite_differences(self, monkeypatch):
         # a deterministic closure (fresh rng per call) makes central
         # differences through the whole training graph meaningful. They
-        # need the float64 chain: float32 conv stacks cannot resolve them,
-        # and an in-place perturbation bumps no `version`, so the kept
-        # float32 casts would not even see it
+        # need the float64 chain: float32 conv stacks cannot resolve them.
+        # Each in-place perturbation bumps `version`, as any in-place write
+        # must, so no kept cast goes stale
         float64_training_chain(monkeypatch)
         model = toy_model()
         model.banks.tokens.data[:] = 0.5
@@ -445,10 +445,13 @@ class TestTrainingForward:
             for idx in (0, flat.size // 2):
                 keep = flat[idx]
                 flat[idx] = keep + eps
+                param.version += 1
                 hi = float(forward().data)
                 flat[idx] = keep - eps
+                param.version += 1
                 lo = float(forward().data)
                 flat[idx] = keep
+                param.version += 1
                 fd = (hi - lo) / (2 * eps)
                 grad = param.grad.reshape(-1)[idx]
                 scale = max(abs(fd), abs(grad))
