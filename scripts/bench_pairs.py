@@ -19,11 +19,13 @@ hashes the report's keys as well as its values, so it shows identity
 only while those keys are unchanged. On a workload that trains, the
 line also says whether the record's ``quality.train_loss_end`` equals
 the parent's: training numerics can stay identical while the digest
-moves with the evaluation transmits. Where the loss differs, the line
-gives the change's signed difference relative to the parent, so a
-floating-point reorder shows how far the loss moved. Under the summary
-it prints the ``src/**/*.py`` line count of each side and their signed
-difference, then each file whose count differs between the sides.
+moves with the evaluation transmits. The line does the same for
+``quality.psnr_db`` and ``quality.ms_ssim``. Where such a figure
+differs, the line gives the change's signed difference relative to the
+parent, so a change that is not bit-identical shows how far it moved
+the floats. Under the summary it prints the ``src/**/*.py`` line count
+of each side and their signed difference, then each file whose count
+differs between the sides.
 Standard library only; run it from any directory of the repository.
 """
 
@@ -39,6 +41,8 @@ import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# quality figures of run.py's record that each pair line compares
+QUALITY_KEYS = ("digest", "train_loss_end", "psnr_db", "ms_ssim")
 
 
 def export(ref: str, dest: pathlib.Path) -> pathlib.Path:
@@ -108,6 +112,14 @@ def quality_cell(key: str, parent, change) -> str:
     if isinstance(parent, float) and isinstance(change, float) and parent:
         cell += f" ({(change - parent) / abs(parent):+.2e})"
     return cell
+
+
+def quality_cells(parent: dict, change: dict) -> dict:
+    """The ``quality_cell`` of each of ``QUALITY_KEYS`` that the parent's
+    quality figures hold, by key."""
+    return {
+        key: quality_cell(key, parent[key], change.get(key)) for key in QUALITY_KEYS if key in parent
+    }
 
 
 def summary(metrics, runs) -> str:
@@ -197,11 +209,11 @@ def main():
                 f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
                 f"op_cpu_ms_p50 {p50[0]:.3f} -> {p50[1]:.3f}"
             )
-            for key in ("digest", "train_loss_end"):
-                if key in quality["parent"]:
-                    parent, change = quality["parent"][key], quality["change"].get(key)
-                    same[key] = same.get(key, 0) + (parent == change)
-                    line += ", " + quality_cell(key, parent, change)
+            parent, change = quality["parent"], quality["change"]
+            cells = quality_cells(parent, change)
+            for key in cells:
+                same[key] = same.get(key, 0) + (parent[key] == change.get(key))
+            line += "".join(", " + cell for cell in cells.values())
             print(line, flush=True)
         lines = line_counts(sides["parent"], sides["change"])
     matched = ", ".join(f"quality {key} same on {n}/{args.pairs} pairs" for key, n in same.items())

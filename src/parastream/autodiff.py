@@ -46,7 +46,6 @@ __all__ = [
     "Tensor",
     "concat",
     "stack",
-    "exp",
     "log",
     "sqrt",
     "tanh",
@@ -57,7 +56,6 @@ __all__ = [
     "conv2d",
     "conv_transpose2d",
     "gdn",
-    "softmax_per_pixel",
 ]
 
 
@@ -372,12 +370,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
 # -- elementwise functions -----------------------------------------------------
 
 
-def exp(t: Tensor) -> Tensor:
-    t = _wrap(t)
-    out_data = np.exp(t.data)
-    return Tensor._from_op(out_data, [(t, lambda g: g * out_data)])
-
-
 def log(t: Tensor) -> Tensor:
     t = _wrap(t)
     return Tensor._from_op(np.log(t.data), [(t, lambda g: g / t.data)])
@@ -604,19 +596,3 @@ def gdn(x: Tensor, beta: Tensor, gamma: Tensor, inverse: bool = False) -> Tensor
     if inverse:
         return x * root
     return x / root
-
-
-def softmax_per_pixel(logits: Tensor) -> Tensor:
-    """Softmax over axis 1 (the stream axis) of a [B,S,...] tensor.
-
-    Stabilized by subtracting the detached per-pixel maximum, which
-    leaves both the value and the gradient unchanged.
-    """
-    logits = _wrap(logits)
-    if logits.data.shape[1] < 2:
-        raise DimensionError(
-            f"softmax_per_pixel needs at least 2 streams, got {logits.data.shape[1]}"
-        )
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    exps = exp(logits - shift)
-    return exps / exps.sum(axis=1, keepdims=True)

@@ -70,7 +70,8 @@ def _parse_bool(text):
 def _parse_points(text, cast):
     """Comma list ("2,4,6") or inclusive range ("2:12:2") of at most
     MAX_RANGE_POINTS points, none NaN. A range's start, stop and step are
-    finite, and so is an integer point; a listed SNR may be inf."""
+    finite, and an integer point is finite and whole; a listed SNR may be
+    inf."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -91,6 +92,8 @@ def _parse_points(text, cast):
         points = [float(p) for p in text.split(",")]
     if any(math.isnan(v) or (cast is int and math.isinf(v)) for v in points):
         raise ValueError(f"a point is NaN, or infinite where an integer is needed: {text!r}")
+    if cast is int and not all(v.is_integer() for v in points):
+        raise ValueError(f"a point is not whole where an integer is needed: {text!r}")
     return tuple(cast(v) for v in points)
 
 

@@ -24,6 +24,7 @@ from .layers import (
     Linear,
     Module,
     PReLU,
+    glorot_uniform,
     leaky_relu,
 )
 
@@ -81,10 +82,12 @@ class DownStage(Module):
 class PagNet(Module):
     """Per-pixel SNR-conditioned aggregation of two equal-shape streams.
 
-    Each stream's features pass a 3x3 conv, are gated channel-wise by a
-    projected SNR embedding, and are reduced to one logit per pixel by a
-    fully-connected layer shared between the two streams. The softmax
-    over the stream axis yields weights that sum to one per pixel.
+    Each stream's features pass a 3x3 conv; their difference is gated
+    channel-wise by a projected SNR embedding and reduced to one score
+    per pixel by the bias-free weight ``fc``. The weight of ``v`` is the
+    sigmoid of that score and the weight of ``u`` its complement: the
+    two-stream softmax of the per-stream scores, whose shared terms
+    cancel in the difference.
     """
 
     def __init__(self, channels, rng, embed_dim=SNR_EMBED_DIM, levels=SNR_LEVELS):
@@ -93,39 +96,37 @@ class PagNet(Module):
         self.conv_u = Conv2d(channels, channels, 3, rng)
         self.snr_embed = Embedding(levels, embed_dim, rng)
         self.proj = Linear(embed_dim, channels, rng)
-        self.fc = Linear(channels, 1, rng)
+        self.fc = Tensor(glorot_uniform(rng, (channels, 1), channels, 1), requires_grad=True)
         self.levels = levels
 
-    def _logit(self, features: Tensor, gate: Tensor) -> Tensor:
-        gated = features * gate
-        flat = gated.transpose(0, 2, 3, 1)
-        logit = self.fc(flat)  # [B,H,W,1]
-        return logit.transpose(0, 3, 1, 2)
+    def _v_weight(self, v: Tensor, u: Tensor, snr_db) -> Tensor:
+        """Per-pixel weight [B,1,H,W] of ``v``; see ``stream_weights``."""
+        if v.data.shape != u.data.shape:
+            raise DimensionError(
+                f"stream shapes differ: {v.data.shape} vs {u.data.shape}"
+            )
+        level = int(np.clip(np.round(snr_db), 0, self.levels - 1))
+        dtype = v.data.dtype
+        gate = self.proj(self.snr_embed([level]).astype(dtype)).reshape(1, -1, 1, 1)
+        gated = (self.conv_v(v) - self.conv_u(u)) * gate
+        score = gated.transpose(0, 2, 3, 1) @ self.fc.astype(dtype)  # [B,H,W,1]
+        return ad.sigmoid(score.transpose(0, 3, 1, 2))
 
     def stream_weights(self, v: Tensor, u: Tensor, snr_db) -> Tensor:
-        """Per-pixel weights [B,2,H,W] of the two streams at ``snr_db``.
+        """Per-pixel weights [B,2,H,W] of the two streams at ``snr_db``,
+        ``v``'s first.
 
         The SNR picks a row of the embedding table: it is rounded to
         whole dB (half to even) and clipped to the table's levels 0 ..
         levels-1 dB. So an SNR below 0 dB is treated as 0 dB and one
         above the top level as the top level, without a warning.
         """
-        if v.data.shape != u.data.shape:
-            raise DimensionError(
-                f"stream shapes differ: {v.data.shape} vs {u.data.shape}"
-            )
-        level = int(np.clip(np.round(snr_db), 0, self.levels - 1))
-        embed = self.proj(self.snr_embed([level]).astype(v.data.dtype))
-        gate = embed.reshape(1, -1, 1, 1)
-        logits = ad.concat(
-            [self._logit(self.conv_v(v), gate), self._logit(self.conv_u(u), gate)],
-            axis=1,
-        )
-        return ad.softmax_per_pixel(logits)  # [B,2,H,W]
+        a = self._v_weight(v, u, snr_db)
+        return ad.concat([a, 1.0 - a], axis=1)
 
     def __call__(self, v: Tensor, u: Tensor, snr_db) -> Tensor:
-        weights = self.stream_weights(v, u, snr_db)
-        return weights[:, 0:1] * v + weights[:, 1:2] * u
+        a = self._v_weight(v, u, snr_db)
+        return u + a * (v - u)
 
 
 class UpBlock(Module):

@@ -56,20 +56,8 @@ class Module:
             yield from child.named_parameters(prefix + name + ".")
 
     def parameters(self):
-        """Each parameter once, in named_parameters order."""
-        seen = set()
-        out = []
-
-        def walk(module):
-            for param in module._params.values():
-                if id(param) not in seen:
-                    seen.add(id(param))
-                    out.append(param)
-            for child in module._children.values():
-                walk(child)
-
-        walk(self)
-        return out
+        """The tensors of ``named_parameters``, in its order."""
+        return [param for _, param in self.named_parameters()]
 
     def zero_grad(self):
         for param in self.parameters():

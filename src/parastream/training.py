@@ -249,7 +249,13 @@ def load_model(path):
         )
     except ValueError as exc:
         raise ValueError(f"{path}: bad model config: {exc}") from None
-    state = {name: value for name, value in entries.items() if not name.startswith("__")}
+    # older checkpoints hold PagNet's score weight as fc.weight, next to
+    # an fc.bias that cancelled between the streams and is ignored
+    state = {
+        name.removesuffix(".weight") if name.endswith(".fc.weight") else name: value
+        for name, value in entries.items()
+        if not name.startswith("__")
+    }
     missing = sorted({name for name, _ in model.named_parameters()} - set(state))
     if missing:
         raise ValueError(f"{path}: checkpoint misses parameters {missing[:4]}")

@@ -377,6 +377,25 @@ def projection_loss(out, proj):
     return (out * proj).sum()
 
 
+def pagnet_softmax_oracle(net, v, u, snr_db, bias=0.0):
+    """(weights [B,2,H,W], fused output) of ``PagNet`` as a two-stream
+    softmax: each stream's gated features reduced to a logit by ``fc``
+    plus a ``bias`` shared by both, then the max-shifted softmax over the
+    stream axis. Runs on the net's convs and SNR gate, in NumPy."""
+    level = int(np.clip(np.round(snr_db), 0, net.levels - 1))
+    gate = net.proj(net.snr_embed([level])).data.reshape(1, -1, 1, 1)
+    logits = np.concatenate(
+        [
+            np.einsum("bchw,c->bhw", conv(x).data * gate, net.fc.data[:, 0])[:, None] + bias
+            for conv, x in ((net.conv_v, v), (net.conv_u, u))
+        ],
+        axis=1,
+    )
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights = exps / exps.sum(axis=1, keepdims=True)
+    return weights, weights[:, 0:1] * v.data + weights[:, 1:2] * u.data
+
+
 def toy_model(seed=0):
     """A two-scale semantic model small enough for finite differences
     and for quick end-to-end training runs on 8x8 images."""

@@ -62,6 +62,25 @@ def test_quality_cell_gives_a_moved_loss_its_relative_difference():
     assert cell("train_loss_end", 200.0, None) == "quality train_loss_end differs"
 
 
+def test_quality_cells_show_how_far_psnr_and_ms_ssim_moved():
+    bench_pairs = load_script()
+    parent = {
+        "psnr_db": 12.1789496, "ms_ssim": 0.5, "cbr": 1.5, "digest": "ab12",
+        "train_loss_end": 3320.25,
+    }
+    change = {**parent, "psnr_db": 12.1789486, "ms_ssim": 0.5 + 2**-40, "digest": "cd34"}
+    # each compared figure in QUALITY_KEYS order; cbr is not compared
+    assert bench_pairs.quality_cells(parent, change) == {
+        "digest": "quality digest differs",
+        "train_loss_end": "quality train_loss_end same",
+        "psnr_db": "quality psnr_db differs (-8.21e-08)",
+        "ms_ssim": "quality ms_ssim differs (+1.82e-12)",
+    }
+    # a workload that does not train records no loss
+    del parent["train_loss_end"]
+    assert list(bench_pairs.quality_cells(parent, change)) == ["digest", "psnr_db", "ms_ssim"]
+
+
 def test_line_counts_cover_src_python_files_only(tmp_path):
     bench_pairs = load_script()
     parent, change = tmp_path / "parent", tmp_path / "change"

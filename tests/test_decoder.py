@@ -5,9 +5,10 @@ import pytest
 
 from parastream import decoder, pipeline
 from parastream.autodiff import DimensionError, Tensor
+from parastream.layers import Conv2d, Embedding, Linear
 from parastream.rng import make_rng
 
-from helpers import gradcheck
+from helpers import gradcheck, pagnet_softmax_oracle
 
 
 def tiny_decoder(seed=0):
@@ -94,11 +95,54 @@ class TestPagnet:
         net.conv_u.bias.data[:] = [-20.0, 0.0, 0.0]
         net.proj.weight.data[:] = 0.0
         net.proj.bias.data[:] = 1.0
-        net.fc.weight.data[:] = np.array([[1.0], [0.0], [0.0]])
-        net.fc.bias.data[:] = 0.0
+        net.fc.data[:] = np.array([[1.0], [0.0], [0.0]])
         v = Tensor(make_rng(15).standard_normal((1, 3, 4, 4)))
         u = Tensor(make_rng(16).standard_normal((1, 3, 4, 4)))
         np.testing.assert_allclose(net(v, u, 10).data, v.data, atol=1e-12)
+
+    def test_sigmoid_gate_matches_two_stream_softmax(self):
+        # the sigmoid of one score difference is the two-stream softmax of
+        # the per-stream logits, whatever bias the logits share. The second
+        # pass scales fc so that the scores reach +-40, where both saturate
+        net = decoder.PagNet(3, make_rng(40))
+        v = Tensor(make_rng(41).standard_normal((2, 3, 5, 5)))
+        u = Tensor(make_rng(42).standard_normal((2, 3, 5, 5)))
+
+        def peak_score():
+            weights = [pagnet_softmax_oracle(net, v, u, snr)[0] for snr in range(21)]
+            return max(np.abs(np.log(w[:, 0]) - np.log(w[:, 1])).max() for w in weights)
+
+        def assert_matches_oracle():
+            for snr in range(21):
+                weights, fused = pagnet_softmax_oracle(net, v, u, snr, bias=0.3 * snr - 2.0)
+                np.testing.assert_allclose(
+                    net.stream_weights(v, u, snr).data, weights, rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(net(v, u, snr).data, fused, rtol=0, atol=1e-12)
+
+        assert_matches_oracle()
+        net.fc.data *= 40.0 / peak_score()
+        assert peak_score() == pytest.approx(40.0)
+        assert_matches_oracle()
+
+    def test_score_weight_is_bias_free_and_drawn_where_a_linear_drew_it(self):
+        # fc takes the rng draw of the former Linear(channels, 1), so every
+        # parameter keeps the bytes it had when fc was that layer's weight
+        net = decoder.PagNet(3, make_rng(43))
+        assert [n for n, _ in net.named_parameters()] == [
+            "fc", "conv_v.weight", "conv_v.bias", "conv_u.weight", "conv_u.bias",
+            "snr_embed.table", "proj.weight", "proj.bias",
+        ]
+        rng = make_rng(43)
+        layers = [
+            Conv2d(3, 3, 3, rng), Conv2d(3, 3, 3, rng),
+            Embedding(decoder.SNR_LEVELS, decoder.SNR_EMBED_DIM, rng),
+            Linear(decoder.SNR_EMBED_DIM, 3, rng), Linear(3, 1, rng),
+        ]
+        drawn = [p.data for layer in layers for _, p in layer.named_parameters()]
+        fc, *rest = (p.data for _, p in net.named_parameters())
+        assert fc.shape == (3, 1) and fc.tobytes() == layers[-1].weight.data.tobytes()
+        assert [a.tobytes() for a in rest] == [a.tobytes() for a in drawn[:-2]]
 
     def test_snr_changes_weights(self):
         net = decoder.PagNet(3, make_rng(17))

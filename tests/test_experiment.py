@@ -91,6 +91,9 @@ class TestConfigGrammar:
             ("q = inf", "infinite where an integer"),
             ("q = 10,-inf", "infinite where an integer"),
             ("q = nan", "NaN"),
+            # a fractional quality point is rejected, not truncated
+            ("q = 50.5, 70.9", "not whole where an integer"),
+            ("q = 10:20:2.5", "not whole where an integer"),
             # checked before the tuple is built: 10^10 points, or an
             # interval count that overflows to inf
             ("snr_db = 0:1e7:1e-3", "more than 10000 points"),

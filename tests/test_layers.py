@@ -36,6 +36,17 @@ class TestModule:
         assert names == ["scale", "inner.lin.weight", "inner.lin.bias"]
         assert len(model.parameters()) == 3
 
+    def test_default_model_registers_every_tensor_once(self):
+        # parameters() walks named_parameters() without a dedupe, which
+        # holds while no tensor is registered under two names
+        from parastream.pipeline import ModelConfig, SemanticModel
+
+        model = SemanticModel(ModelConfig())
+        params = [p for _, p in model.named_parameters()]
+        assert len(params) == 166
+        assert len({id(p) for p in params}) == len(params)
+        assert [id(p) for p in model.parameters()] == [id(p) for p in params]
+
     def test_state_dict_round_trip(self):
         lin = ly.Linear(4, 3, make_rng(1))
         state = lin.state_dict()
