@@ -9,6 +9,7 @@ any order. For a fading draw, gains are sampled before noise.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,15 @@ class ChannelConfig:
             raise ValueError(f"kind must be one of {KINDS}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
-        if self.block_len < 1:
-            raise ValueError("block_len must be at least 1")
+        # +inf is the noiseless channel; -inf would be all noise
+        if self.snr_db == -math.inf:
+            raise ValueError("snr_db must not be -inf")
+        if not _is_int(self.block_len, 1):
+            raise ValueError(f"block_len must be an integer >= 1, got {self.block_len!r}")
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,13 @@ class PagNet(Module):
     cancel in the difference.
     """
 
-    def __init__(self, channels, rng, embed_dim=SNR_EMBED_DIM, levels=SNR_LEVELS):
+    def __init__(self, channels, rng):
         super().__init__()
         self.conv_v = Conv2d(channels, channels, 3, rng)
         self.conv_u = Conv2d(channels, channels, 3, rng)
-        self.snr_embed = Embedding(levels, embed_dim, rng)
-        self.proj = Linear(embed_dim, channels, rng)
+        self.snr_embed = Embedding(SNR_LEVELS, SNR_EMBED_DIM, rng)
+        self.proj = Linear(SNR_EMBED_DIM, channels, rng)
         self.fc = Tensor(glorot_uniform(rng, (channels, 1), channels, 1), requires_grad=True)
-        self.levels = levels
 
     def _v_weight(self, v: Tensor, u: Tensor, snr_db) -> Tensor:
         """Per-pixel weight [B,1,H,W] of ``v``; see ``stream_weights``."""
@@ -105,7 +104,7 @@ class PagNet(Module):
             raise DimensionError(
                 f"stream shapes differ: {v.data.shape} vs {u.data.shape}"
             )
-        level = int(np.clip(np.round(snr_db), 0, self.levels - 1))
+        level = int(np.clip(np.round(snr_db), 0, SNR_LEVELS - 1))
         dtype = v.data.dtype
         gate = self.proj(self.snr_embed([level]).astype(dtype)).reshape(1, -1, 1, 1)
         gated = (self.conv_v(v) - self.conv_u(u)) * gate
@@ -118,7 +117,7 @@ class PagNet(Module):
 
         The SNR picks a row of the embedding table: it is rounded to
         whole dB (half to even) and clipped to the table's levels 0 ..
-        levels-1 dB. So an SNR below 0 dB is treated as 0 dB and one
+        SNR_LEVELS-1 dB. So an SNR below 0 dB is treated as 0 dB and one
         above the top level as the top level, without a warning.
         """
         a = self._v_weight(v, u, snr_db)

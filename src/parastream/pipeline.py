@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import codec, ldpc, metrics, rate
 from .autodiff import Tensor
-from .channel import ChannelConfig, transmit
+from .channel import ChannelConfig, _is_int, transmit
 from .decoder import LATENT_WIDTHS, SemanticDecoder
 from .encoder import DEFAULT_WIDTHS, SemanticEncoder, batch_to_tensor, tensor_to_image
 from .layers import Module, frozen
@@ -68,10 +67,6 @@ class ModelConfig:
             value = getattr(self, name)
             if not _is_int(value, low):
                 raise ValueError(f"ModelConfig.{name} must be an integer >= {low}, got {value!r}")
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 class SemanticModel(Module):

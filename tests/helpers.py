@@ -382,7 +382,9 @@ def pagnet_softmax_oracle(net, v, u, snr_db, bias=0.0):
     softmax: each stream's gated features reduced to a logit by ``fc``
     plus a ``bias`` shared by both, then the max-shifted softmax over the
     stream axis. Runs on the net's convs and SNR gate, in NumPy."""
-    level = int(np.clip(np.round(snr_db), 0, net.levels - 1))
+    from parastream.decoder import SNR_LEVELS
+
+    level = int(np.clip(np.round(snr_db), 0, SNR_LEVELS - 1))
     gate = net.proj(net.snr_embed([level])).data.reshape(1, -1, 1, 1)
     logits = np.concatenate(
         [

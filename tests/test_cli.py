@@ -119,6 +119,18 @@ class TestTransmitCommand:
         assert err.startswith(f"error: {bad}: bad model config: ModelConfig.growth")
         assert not out.exists()
 
+    def test_minus_infinite_snr_fails_at_the_channel(self, ppm, tmp_path, capsys):
+        # argparse reads a bare "-inf" as an option, so the value is attached
+        out = tmp_path / "rx.ppm"
+        rc = cli.main([
+            "transmit", "--image", str(ppm), "--out", str(out), "--snr=-inf",
+            "--conventional-only",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "snr_db must not be -inf" in err and "LLR" not in err
+        assert not out.exists()
+
     def test_table_without_encoder_fails_cleanly(self, ppm, generic_table, tmp_path, capsys):
         out = tmp_path / "rx.ppm"
         rc = cli.main([

@@ -103,7 +103,8 @@ class TestPagnet:
     def test_sigmoid_gate_matches_two_stream_softmax(self):
         # the sigmoid of one score difference is the two-stream softmax of
         # the per-stream logits, whatever bias the logits share. The second
-        # pass scales fc so that the scores reach +-40, where both saturate
+        # pass gives each stream's conv its own bias, the third scales fc
+        # so that the scores reach +-40, where both saturate
         net = decoder.PagNet(3, make_rng(40))
         v = Tensor(make_rng(41).standard_normal((2, 3, 5, 5)))
         u = Tensor(make_rng(42).standard_normal((2, 3, 5, 5)))
@@ -120,6 +121,9 @@ class TestPagnet:
                 )
                 np.testing.assert_allclose(net(v, u, snr).data, fused, rtol=0, atol=1e-12)
 
+        assert_matches_oracle()
+        net.conv_v.bias.data[:] = [0.7, -1.3, 0.4]
+        net.conv_u.bias.data[:] = [-0.2, 0.5, 0.9]
         assert_matches_oracle()
         net.fc.data *= 40.0 / peak_score()
         assert peak_score() == pytest.approx(40.0)
@@ -178,8 +182,8 @@ class TestPagnet:
         u = Tensor(make_rng(22).standard_normal((1, 3, 2, 2)))
         for snr in (-3.0, 25.0, 2.5, 7.6):
             net.stream_weights(v, u, snr)
-        assert looked_up == [[0], [net.levels - 1], [2], [8]]
-        assert net.levels - 1 == 20
+        assert looked_up == [[0], [decoder.SNR_LEVELS - 1], [2], [8]]
+        assert decoder.SNR_LEVELS - 1 == 20
 
     def test_shape_mismatch_rejected(self):
         net = decoder.PagNet(3, make_rng(23))
