@@ -9,6 +9,7 @@ with no color transform and no subsampling.
 
 from __future__ import annotations
 
+import numbers
 import struct
 
 import numpy as np
@@ -76,8 +77,8 @@ class CodecError(ValueError):
 
 def quant_table(q: int) -> np.ndarray:
     """Quality-scaled 8x8 quantizer, entries clamped to [1, 255]."""
-    if not 1 <= int(q) <= 100:
-        raise CodecError(f"quality factor must be in [1, 100], got {q}")
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or not 1 <= q <= 100:
+        raise CodecError(f"quality factor must be an integer in [1, 100], got {q!r}")
     q = int(q)
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     return np.clip(np.round(BASE_QUANT * scale / 100.0), 1, 255).astype(np.int64)

@@ -8,8 +8,8 @@ symbol pairs. Both streams cross independently drawn channels at the
 configured SNR. The receiver fuses its (possibly corrupted)
 conventional reconstruction with the received features, weighting the
 two per pixel by SNR. Frame accounting charges every complex symbol of
-either stream plus the 5-bit-per-patch rate map. `semantic_forward` is
-the one semantic chain: `transmit_image` runs it as a batch of one and
+either stream plus the 5-bit-per-patch rate map. `send_batch` is the one
+pass over both streams: `transmit_image` runs it as a batch of one and
 `training.training_forward` trains through it.
 """
 
@@ -101,6 +101,8 @@ class PipelineConfig:
     semantic: bool = True
 
     def __post_init__(self):
+        if not (_is_int(self.q, 1) and self.q <= 100):
+            raise ValueError(f"PipelineConfig.q must be an integer in [1, 100], got {self.q!r}")
         if not math.isfinite(self.lambda1) or self.lambda1 < 0:
             raise ValueError(
                 f"loss weight lambda1 must be finite and nonnegative, got {self.lambda1}"
@@ -269,12 +271,9 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     rounds, or adds U(-1/2,1/2) noise from `rng` (training). `bypass`
     (training stage 1) sends the unquantized s at full dimension and
     skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
-    r_tilde, mu, sigma and alloc (None on bypass).
-
-    The encoder and decoder run in the dtype of their inputs, float32
-    in both transmit_image and training; from the quantizer to the banks
-    the chain runs in float64, and s_hat enters the decoder in the dtype
-    of x_c_hats. x_hat comes out in that dtype too.
+    r_tilde, mu, sigma and alloc (None on bypass). The encoder and
+    decoder run in the dtype of their inputs, the rest in float64 (see
+    `send_batch`).
     """
     s, r = (
         t.astype(np.float64)
@@ -301,6 +300,36 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     return dict(x_hat=x_hat, s_tilde=s_tilde, r_tilde=r_tilde, mu=mu, sigma=sigma, alloc=alloc)
 
 
+def send_batch(model, images, cfg: PipelineConfig, pcm, keys, rng=None, bypass=False):
+    """Both streams for a batch: the one pass `transmit_image` and
+    `training.training_forward` share. Image i is split by
+    `split_source`, its coded stream crosses cfg.channel at trial
+    2*keys[i], and `semantic_forward` sends it on at 2*keys[i]+1 with
+    `rng` and `bypass`. Returns (refs, sent, parts): the float64 sources
+    of truth, `_send_conventional`'s output, and semantic_forward's dict
+    with x_hat cast back to float64 (None when cfg.semantic is off).
+
+    Precision: the encoder and decoder run in float32, on float32 copies
+    of the refs, residuals and conventional reconstructions and on the
+    float32 casts their float64 parameters keep per weight state, which
+    pass their gradients back as float64. Their convolutions are most of
+    the work, and float32 GEMMs run about twice as fast. From the
+    quantizer through the hyper synthesis, rate allocation, banks and
+    analog channel to the loss, the chain stays float64: in float32, CDF
+    differences in the Gaussian tails reach the likelihood floor and
+    flip rate decisions.
+    """
+    refs, _, residuals, blobs = zip(*(split_source(x, cfg.q) for x in images))
+    sent = _send_conventional(blobs, [x.shape for x in refs], cfg, pcm, [2 * t for t in keys])
+    if not cfg.semantic:
+        return refs, sent, None
+    x_c_hats = [x_c_hat for x_c_hat, _, _ in sent]
+    inputs = ([a.astype(np.float32) for a in arrays] for arrays in (refs, residuals, x_c_hats))
+    parts = semantic_forward(model, *inputs, cfg.channel, keys, rng, bypass)
+    parts["x_hat"] = parts["x_hat"].astype(np.float64)
+    return refs, sent, parts
+
+
 def validate_image(x) -> None:
     """Raise ValueError unless x is an H x W x C image of a float dtype
     whose values are all finite and in [0, 1]."""
@@ -323,26 +352,15 @@ def validate_image(x) -> None:
 
 
 def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
-    """One image through both branches.
+    """One image through both branches: `send_batch` as a batch of one.
 
-    Returns (x_hat, frame, metrics). The conventional and semantic
-    streams use channel trials 2*seed and 2*seed+1, so every call index
-    sees independent realizations of the same configured channel. An
-    image that is not H x W x C, of a float dtype, finite and in [0, 1],
-    or that has a side shorter than the MS-SSIM window
-    (`metrics.WINDOW`) raises ValueError before any work (DimensionError
-    for a shape the semantic branch cannot take).
-
-    The semantic encoder and decoder run in float32 because their inputs
-    do: float32 copies of the image, its coding residual and the
-    conventional reconstruction. Each layer runs in the dtype of its
-    input, on float32 casts of its float64 parameters that the
-    parameters keep between calls. Their convolutions are most of the
-    work, and float32 GEMMs run about twice as fast. The entropy model
-    stays float64, from the quantizer through the hyper synthesis, the
-    rate allocation and the banks to the analog channel: in float32, CDF
-    differences in the Gaussian tails reach the likelihood floor and flip
-    rate decisions. x_hat is returned as float64.
+    Returns (x_hat, frame, metrics), x_hat in float64. The conventional
+    and semantic streams use channel trials 2*seed and 2*seed+1, so
+    every call index sees independent realizations of the same
+    configured channel. An image that is not H x W x C, of a float
+    dtype, finite and in [0, 1], or that has a side shorter than the
+    MS-SSIM window (`metrics.WINDOW`) raises ValueError before any work
+    (DimensionError for a shape the semantic branch cannot take).
     """
     if cfg.semantic:
         model = SemanticModel(ModelConfig()) if model is None else model
@@ -352,18 +370,12 @@ def transmit_image(x, cfg: PipelineConfig, seed: int = 0, model=None, pcm=None):
         raise ValueError(f"image sides must be at least the {metrics.WINDOW} px MS-SSIM window")
     if pcm is None:
         pcm = load_code(cfg.code)
-    x_ref, _, x_r, blob = split_source(x, cfg.q)
-
-    ((x_c_hat, corrupted, seg),) = _send_conventional(
-        [blob], [x_ref.shape], cfg, pcm, [2 * seed]
-    )
+    with frozen(model.parameters() if cfg.semantic else ()):
+        (x_ref,), ((x_c_hat, corrupted, seg),), parts = send_batch(model, [x], cfg, pcm, [seed])
 
     x_hat, semantic_dims, k_s, clamped = x_c_hat, 0, 0, 0
-    if cfg.semantic:
-        inputs = ([a.astype(np.float32)] for a in (x_ref, x_r, x_c_hat))
-        with frozen(model.parameters()):
-            out = semantic_forward(model, *inputs, cfg.channel, [seed])
-        x_hat, alloc = tensor_to_image(out["x_hat"]).astype(np.float64), out["alloc"]
+    if parts is not None:
+        x_hat, alloc = tensor_to_image(parts["x_hat"]), parts["alloc"]
         semantic_dims, k_s, clamped = int(alloc.totals()[0]), alloc.k_s, alloc.clamped
 
     frame = TransmissionFrame(

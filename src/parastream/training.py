@@ -12,21 +12,12 @@ grad. Every batch samples one SNR from the training set and runs the
 conventional branch for real (no gradients), so the decoder sees
 genuinely corrupted reconstructions at low SNR.
 
-Each step sends its whole batch through one
-`pipeline._send_conventional` call (one LDPC encode and one BP decode
-over every frame) and then through `pipeline.semantic_forward`, the
-chain `transmit_image` runs, on per-image channel trials (see
-`training_forward`) that never repeat within or across the stages.
-
-Training runs in the precisions `transmit_image` runs in. The encoder
-and decoder get float32 inputs, so they run forward and backward in
-float32 on the float32 casts their float64 parameters keep per weight
-state; `Adam.step` bumps each parameter's `version`, so the next step
-casts afresh. Each cast passes its gradient back widened to float64, so
-every parameter, gradient and Adam moment stays float64: the
-master-weight scheme of Micikevicius et al., "Mixed Precision
-Training", ICLR 2018. The quantizer, the hyper synthesis, the rate
-allocation, the banks, the analog channel and the loss stay float64.
+Each step sends its whole batch through one `pipeline.send_batch`
+call, the pass and precisions of `transmit_image`, on per-image channel
+trials (see `training_forward`) that never repeat within or across the
+stages. `Adam.step` bumps each parameter's `version`, so the next step
+casts the float64 master weights afresh (Micikevicius et al., "Mixed
+Precision Training", ICLR 2018).
 """
 
 from __future__ import annotations
@@ -38,16 +29,16 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import rate
+from .channel import _is_int
 from .encoder import batch_to_tensor
 from .layers import frozen
 from .pipeline import (
     ModelConfig,
     PipelineConfig,
     SemanticModel,
-    _send_conventional,
+    _send_conventional,  # unused; perfbench/instrument.py looks it up here
     load_code,
-    semantic_forward,
-    split_source,
+    send_batch,
     validate_image,
 )
 from .rng import make_rng
@@ -65,11 +56,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3):
-            raise ValueError(f"stage must be 1, 2, or 3, got {self.stage}")
-        for name in ("steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (_is_int(self.stage, 1) and self.stage <= 3):
+            raise ValueError(f"TrainConfig.stage must be 1, 2, or 3, got {self.stage!r}")
+        for name, low in (("steps", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value, low):
+                raise ValueError(f"TrainConfig.{name} must be an integer >= {low}, got {value!r}")
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"learning rate lr must be finite and positive, got {self.lr}")
         if len(self.snr_set) == 0 or not all(math.isfinite(s) for s in self.snr_set):
@@ -135,24 +127,17 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     `trial` is the index of the batch's first image within the stage;
     image i crosses the channel as t = 3 * (trial + i) + stage - 1, its
     conventional stream at channel trial 2t and its semantic stream at
-    2t + 1. Returns (loss, parts) where parts is semantic_forward's
-    dict: x_hat (cast back to float64), s_tilde, r_tilde, mu, sigma, and
-    alloc (None in stage 1). The encoder and decoder run in float32.
-    Every image passes the checks of transmit_image before any work, but
-    for its minimum side: training computes no MS-SSIM.
+    2t + 1. Returns (loss, parts) where parts is send_batch's dict:
+    x_hat (float64), s_tilde, r_tilde, mu, sigma, and alloc (None in
+    stage 1). Every image passes the checks of transmit_image before any
+    work, but for its minimum side: training computes no MS-SSIM.
     """
     for img in images:
         model.encoder.check_image(np.shape(img))
         validate_image(img)
-    chan = replace(pcfg.channel, snr_db=float(snr_db))
+    cfg = replace(pcfg, channel=replace(pcfg.channel, snr_db=float(snr_db)))
     keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
-    refs, _, residuals, blobs = zip(*(split_source(img, pcfg.q) for img in images))
-    shapes, cfg = [x.shape for x in refs], replace(pcfg, channel=chan)
-    sent = _send_conventional(blobs, shapes, cfg, pcm, [2 * t for t in keys])
-    x_c_hats = [x_c_hat for x_c_hat, _, _ in sent]
-    inputs = ([a.astype(np.float32) for a in arrays] for arrays in (refs, residuals, x_c_hats))
-    parts = semantic_forward(model, *inputs, chan, keys, rng, stage == 1)
-    parts["x_hat"] = parts["x_hat"].astype(np.float64)
+    refs, _, parts = send_batch(model, images, cfg, pcm, keys, rng, stage == 1)
     loss_inputs = [parts[name] for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma")]
     return rd_loss(batch_to_tensor(refs), *loss_inputs, model, pcfg.lambda1), parts
 
@@ -171,6 +156,8 @@ def train(cfg: TrainConfig, dataset, model, pcfg: PipelineConfig | None = None):
     """
     if pcfg is None:
         pcfg = PipelineConfig()
+    if not pcfg.semantic:
+        raise ValueError("PipelineConfig.semantic is off; training needs the semantic stream")
     if cfg.stage != model.stage + 1:
         raise ValueError(
             f"stage {cfg.stage} cannot follow stage {model.stage}; "

@@ -414,19 +414,20 @@ def toy_images(n=3, size=8):
 
 
 def float64_training_chain(monkeypatch):
-    """Make `training.training_forward` run the whole chain in float64:
-    the float32 refs, residuals and reconstructions it hands
+    """Make `pipeline.send_batch`, and with it
+    `training.training_forward`, run the whole chain in float64: the
+    float32 refs, residuals and reconstructions it hands
     `semantic_forward` are widened back to float64, so every layer runs
     in the dtype of its float64 parameters and every cast is a no-op."""
-    from parastream import training
+    from parastream import pipeline
 
-    semantic_forward = training.semantic_forward
+    semantic_forward = pipeline.semantic_forward
 
     def widened(model, *args):
         images = [[a.astype(np.float64) for a in arrays] for arrays in args[:3]]
         return semantic_forward(model, *images, *args[3:])
 
-    monkeypatch.setattr(training, "semantic_forward", widened)
+    monkeypatch.setattr(pipeline, "semantic_forward", widened)
 
 
 # Bit-serial block-DCT coder: the reference that codec.compress and

@@ -164,13 +164,17 @@ def test_every_coded_crossing_goes_through_one_link():
 
 
 def test_every_semantic_crossing_goes_through_one_chain():
-    # pipeline.semantic_forward is the only semantic chain; transmit and
-    # training both call it, so inference runs the chain that was trained
+    # pipeline.semantic_forward is the only semantic chain and
+    # pipeline.send_batch the only pass that splits the source, sends the
+    # coded stream, casts the semantic inputs and runs that chain;
+    # transmit and training both call it, so inference runs the pass
+    # that was trained
     package = pathlib.Path(channel.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     calls = (
         "model.encoder(", "model.hyper(", "banks.encode(", "banks.decode(",
-        "model.decoder(", "send_analog(",
+        "model.decoder(", "send_analog(", "split_source(", "_send_conventional(",
+        "semantic_forward(", "astype(np.float32)",
     )
     for call in calls:
         site = re.compile(r"(?<!def )" + re.escape(call))

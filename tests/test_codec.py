@@ -31,10 +31,14 @@ class TestQuantTable:
             table, np.clip(np.round(codec.BASE_QUANT * 2.0), 1, 255)
         )
 
-    @pytest.mark.parametrize("q", [0, 101, -3])
+    @pytest.mark.parametrize("q", [0, 101, -3, 50.7, 50.0, True, "50"])
     def test_invalid_quality_rejected(self, q):
-        with pytest.raises(codec.CodecError):
+        with pytest.raises(codec.CodecError, match="integer in"):
             codec.quant_table(q)
+
+    def test_numpy_integer_quality_accepted(self):
+        image = data.gradient_image(make_rng(3), 16)
+        assert codec.compress(image, np.int64(50)) == codec.compress(image, 50)
 
 
 class TestDctBasis:

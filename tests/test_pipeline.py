@@ -205,6 +205,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pipeline.PipelineConfig(lambda1=-0.1)
 
+    @pytest.mark.parametrize("q", [0, 101, 50.7, 50.0, True])
+    def test_quality_that_is_not_an_integer_in_range_names_the_field(self, q):
+        with pytest.raises(ValueError, match=r"PipelineConfig\.q must be an integer"):
+            pipeline.PipelineConfig(q=q)
+
     @pytest.mark.parametrize("lambda1", [float("nan"), float("inf")])
     def test_non_finite_loss_weight_names_the_field(self, lambda1):
         with pytest.raises(ValueError, match="lambda1"):

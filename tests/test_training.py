@@ -179,11 +179,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="snr_set"):
             TrainConfig(stage=1, snr_set=snr_set)
 
-    @pytest.mark.parametrize("field", ["steps", "batch_size"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 0), ("steps", -1), ("steps", 2.5), ("steps", 2.0), ("steps", True),
+            ("batch_size", 0), ("batch_size", -1), ("batch_size", 2.0),
+            ("stage", 1.0), ("stage", True),
+            ("seed", -1), ("seed", 0.5),
+        ],
+    )
     def test_counts_below_one_name_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TrainConfig(stage=1, **{field: value})
+        # stage, steps and batch_size are integers >= 1 and seed >= 0;
+        # a float or bool once passed here and failed inside train
+        with pytest.raises(ValueError, match=f"TrainConfig.{field} must be"):
+            TrainConfig(**{"stage": 1, field: value})
 
 
 def expected_analog(vec, chan, trial):
@@ -315,7 +324,7 @@ class TestTrainingForward:
         def reached(*args):
             raise AssertionError("split_source ran on an invalid image")
 
-        monkeypatch.setattr(training, "split_source", reached)
+        monkeypatch.setattr(pipeline, "split_source", reached)
         model, pcfg = toy_model(), toy_pipeline()
         images = toy_images(2)
         images[1] = bad(images[1])
@@ -491,6 +500,13 @@ class TestTrainLoop:
         model, _ = train(self._cfg(1), toy_images(), model, toy_pipeline())
         with pytest.raises(ValueError, match="run stages in order"):
             train(self._cfg(3), toy_images(), model, toy_pipeline())
+
+    def test_conventional_only_pipeline_rejected(self):
+        # training trains the semantic stream; a pipeline without one
+        # has nothing to train
+        pcfg = PipelineConfig(channel=toy_pipeline().channel, semantic=False)
+        with pytest.raises(ValueError, match="PipelineConfig.semantic"):
+            train(self._cfg(1), toy_images(), toy_model(), pcfg)
 
     def test_empty_dataset_rejected_before_a_batch(self):
         with pytest.raises(ValueError, match="dataset is empty"):
