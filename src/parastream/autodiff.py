@@ -30,9 +30,9 @@ dtype of the tensor it meets (a weak scalar, as in NumPy 2's NEP 50), so
 it neither widens float32 work nor rounds float64 work: a float64 graph
 gives the same bits as an engine that is float64 throughout. Layers
 take their float64 parameters through ``Tensor.astype``, which crosses
-between the dtypes inside a graph and keeps its last cast. Training and
-every gradient check run in float64; ``pipeline.transmit_image`` runs
-the encoder and decoder in float32.
+between the dtypes inside a graph and keeps its last cast. Gradient
+checks run in float64; training and ``pipeline.transmit_image`` run the
+encoder and decoder in float32 (see ``pipeline.send_batch``).
 """
 
 from __future__ import annotations

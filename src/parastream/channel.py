@@ -9,12 +9,11 @@ any order. For a fading draw, gains are sampled before noise.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import _is_int, make_rng
 
 KINDS = ("awgn", "rayleigh_block")
 
@@ -36,10 +35,8 @@ class ChannelConfig:
             raise ValueError("snr_db must not be -inf")
         if not _is_int(self.block_len, 1):
             raise ValueError(f"block_len must be an integer >= 1, got {self.block_len!r}")
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+        if not _is_int(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

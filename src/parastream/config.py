@@ -1,8 +1,8 @@
 """INI-style experiment configuration with line-anchored errors.
 
 The grammar (sections, keys, types, defaults) is documented in
-docs/config.md. Unknown sections or keys are rejected, and every
-rejection points at the offending line of the file.
+docs/config.md. Unknown keys, unparsable values and bad point lists are
+rejected at their line; ExperimentConfig's own checks name no line.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .channel import KINDS
-from .pipeline import DEFAULT_TABLE
+from .channel import ChannelConfig
+from .pipeline import DEFAULT_TABLE, ModelConfig
 
 MAX_RANGE_POINTS = 10_000
 
@@ -45,8 +45,11 @@ class ExperimentConfig:
     out: str = "sweep"
 
     def __post_init__(self):
-        if self.channel_kind not in KINDS:
-            raise ConfigError(f"channel kind must be one of {KINDS}")
+        try:  # the configs a sweep point builds check their own fields
+            ChannelConfig(kind=self.channel_kind, block_len=self.block_len, seed=self.channel_seed)
+            ModelConfig(init_seed=self.init_seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad channel or model value: {exc}") from None
         if self.trials < 1 or self.images < 1:
             raise ConfigError("trials and images must be positive")
         if not self.snr_points:

@@ -18,10 +18,15 @@ later one follows uniquely. A table without that structure still
 lifts, and decodes, but ldpc_encode rejects it.
 
 The decoder runs the flooding sum-product schedule on a dense slot
-table built once per code: slot j of check i reads column slot_col[j, i]
-(a dummy column n, LLR 0 and bit 0, pads short checks), and column c
-sums the check messages of slots col_slots[:, c] (a sentinel slot whose
-message is 0 pads light columns). Every message array keeps the frames
+table lifted once per code, block by block. Block (r, b) with shift s
+writes, for i in 0..Z-1, column b*Z + (i + s) mod Z into slot j (the
+rank of b among row r's live blocks) of check r*Z + i, and slot
+j*m + r*Z + (i - s) mod Z into entry c (the rank of r among column b's)
+of column b*Z + i. So slot j of check i reads column slot_col[j, i]
+(a dummy column n, LLR 0 and bit 0, pads short checks), columns in
+ascending order, and column c sums the check messages of slots
+col_slots[:, c] by ascending check (a sentinel slot whose message is 0
+pads light columns). Every message array keeps the frames
 still decoding on its last axis (LLRs [n + 1, frames], slot messages
 [dmax, m, frames], check messages [dmax * m + 1, frames]), so both
 gathers copy whole rows and each slot is one contiguous block. A
@@ -126,8 +131,6 @@ class ParityCheckMatrix:
     z: int
     n: int
     k: int
-    edge_row: np.ndarray
-    edge_col: np.ndarray
     slot_col: np.ndarray  # [dmax, m]; n pads a check with fewer edges
     col_slots: np.ndarray  # [cmax, n]; dmax * m pads a lighter column
     structured: tuple | None  # (s0, interior row) of a dual-diagonal part
@@ -182,46 +185,31 @@ def build_qc_ldpc(base, z):
     if n_b < m_b:
         raise LdpcError("base matrix has more rows than columns")
 
-    rows_parts, cols_parts = [], []
-    offsets = np.arange(z)
-    for r in range(m_b):
-        active = np.flatnonzero(base[r] >= 0)
-        if active.size == 0:
-            raise LdpcError(f"base row {r} is empty")
-        shifts = base[r, active]
-        cols = active[None, :] * z + (offsets[:, None] + shifts[None, :]) % z
-        cols = np.sort(cols, axis=1)
-        rows = np.repeat(r * z + offsets, active.size)
-        rows_parts.append(rows)
-        cols_parts.append(cols.reshape(-1))
-    edge_row = np.concatenate(rows_parts)
-    edge_col = np.concatenate(cols_parts)
+    live = base >= 0
+    empty = np.flatnonzero(~live.any(axis=1))
+    if empty.size:
+        raise LdpcError(f"base row {empty[0]} is empty")
+    if not live.any(axis=0).all():
+        raise LdpcError("expanded matrix has an empty column")
 
     n, m = n_b * z, m_b * z
-    col_counts = np.bincount(edge_col, minlength=n)
-    if (col_counts == 0).any():
-        raise LdpcError("expanded matrix has an empty column")
-    row_counts = np.bincount(edge_row, minlength=m)
-
-    # edges are grouped by row, so an edge's slot is its rank in its row
-    slot = np.arange(edge_row.size) - (np.cumsum(row_counts) - row_counts)[edge_row]
-    slot_col = np.full((row_counts.max(), m), n, dtype=np.intp)
-    slot_col[slot, edge_row] = edge_col
-    # a column lists its slots in row order; the stable sort keeps it
-    by_col = np.argsort(edge_col, kind="stable")
-    col_rank = np.arange(edge_col.size) - (np.cumsum(col_counts) - col_counts)[
-        edge_col[by_col]
-    ]
-    col_slots = np.full((col_counts.max(), n), slot_col.size, dtype=np.intp)
-    col_slots[col_rank, edge_col[by_col]] = (slot * m + edge_row)[by_col]
+    row_rank = np.cumsum(live, axis=1) - 1
+    col_rank = np.cumsum(live, axis=0) - 1
+    r, b = np.nonzero(live)
+    s, j = base[r, b][:, None], row_rank[r, b]
+    offsets = np.arange(z)
+    slot_col = np.full((row_rank[:, -1].max() + 1, m), n, dtype=np.intp)
+    slot_col[j[:, None], r[:, None] * z + offsets] = b[:, None] * z + (offsets + s) % z
+    col_slots = np.full((col_rank[-1].max() + 1, n), slot_col.size, dtype=np.intp)
+    col_slots[col_rank[r, b][:, None], b[:, None] * z + offsets] = (
+        (j * m + r * z)[:, None] + (offsets - s) % z
+    )
 
     return ParityCheckMatrix(
         base=base,
         z=z,
         n=n,
         k=n - m,
-        edge_row=edge_row,
-        edge_col=edge_col,
         slot_col=slot_col,
         col_slots=col_slots,
         structured=_detect_dual_diagonal(base),

@@ -270,8 +270,9 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
     packer, and the decoder fuses them with x_c_hats[i]. The quantizer
     rounds, or adds U(-1/2,1/2) noise from `rng` (training). `bypass`
     (training stage 1) sends the unquantized s at full dimension and
-    skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde,
-    r_tilde, mu, sigma and alloc (None on bypass). The encoder and
+    skips the banks. Returns a dict of x_hat [B,C,H,W], s_tilde, p_s (its
+    likelihood, which both allocates and prices the rate), r_tilde and
+    alloc (None on bypass). The encoder and
     decoder run in the dtype of their inputs, the rest in float64 (see
     `send_batch`).
     """
@@ -280,12 +281,12 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
         for t in model.encoder(batch_to_tensor(refs), batch_to_tensor(residuals))
     )
     s_tilde, r_tilde = (rate.quantize(t, rng) for t in (s, r))
-    mu, sigma = model.hyper(r_tilde)
+    p_s = rate.likelihood(s_tilde, *model.hyper(r_tilde))
     if bypass:
         flat, alloc = s.reshape(len(keys), -1), None
         sent = [flat[b] for b in range(len(keys))]
     else:
-        alloc = rate.allocate_rates(rate.likelihood(s_tilde, mu, sigma))
+        alloc = rate.allocate_rates(p_s)
         sent = model.banks.encode(s_tilde, alloc)
     received = [send_analog(v, chan, 2 * t + 1) for v, t in zip(sent, keys)]
     if bypass:
@@ -297,7 +298,7 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
         s_hat = model.banks.decode(received, rx_widths)
     x_c = batch_to_tensor(x_c_hats)
     x_hat = model.decoder(x_c, s_hat.astype(x_c.data.dtype), chan.snr_db)
-    return dict(x_hat=x_hat, s_tilde=s_tilde, r_tilde=r_tilde, mu=mu, sigma=sigma, alloc=alloc)
+    return dict(x_hat=x_hat, s_tilde=s_tilde, p_s=p_s, r_tilde=r_tilde, alloc=alloc)
 
 
 def send_batch(model, images, cfg: PipelineConfig, pcm, keys, rng=None, bypass=False):

@@ -118,9 +118,9 @@ class FactorizedPrior(Module):
         )
 
 
-def rate_term(s_tilde, r_tilde, mu, sigma, prior: FactorizedPrior) -> Tensor:
-    """Total bits: -sum log2 p(s̃ | entropy model) - sum log2 p(r̃ | prior)."""
-    p_s = likelihood(s_tilde, mu, sigma)
+def rate_term(p_s, r_tilde, prior: FactorizedPrior) -> Tensor:
+    """Total bits: -sum log2 p_s - sum log2 p(r̃ | prior), where p_s is
+    the likelihood of s̃ under the entropy model."""
     p_r = prior(r_tilde)
     return -(ad.log(p_s).sum() + ad.log(p_r).sum()) * _INV_LN2
 

@@ -8,10 +8,16 @@ parallelism derives one substream per trial.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
 def make_rng(seed: int, substream: int = 0) -> np.random.Generator:
-    if seed < 0 or substream < 0:
-        raise ValueError("seed and substream must be non-negative")
+    if not (_is_int(seed, 0) and _is_int(substream, 0)):
+        raise ValueError(f"seed and substream must be integers >= 0, got {seed!r}, {substream!r}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(substream)))

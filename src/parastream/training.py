@@ -111,13 +111,13 @@ def poly_lr(base: float, step: int, total: int) -> float:
     return base * (1.0 - step / total) ** 0.9
 
 
-def rd_loss(x, x_hat, s_tilde, r_tilde, mu, sigma, model, lambda1):
-    """MSE on the 0..255 pixel scale plus lambda1 * bits, per image."""
+def rd_loss(x, x_hat, p_s, r_tilde, model, lambda1):
+    """MSE on the 0..255 pixel scale plus lambda1 * bits of (p_s, r̃), per image."""
     err = (x_hat - x) * 255.0
     mse = (err * err).mean()
     if lambda1 == 0.0:
         return mse
-    bits = rate.rate_term(s_tilde, r_tilde, mu, sigma, model.prior)
+    bits = rate.rate_term(p_s, r_tilde, model.prior)
     return mse + (lambda1 / x.data.shape[0]) * bits
 
 
@@ -128,7 +128,7 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     image i crosses the channel as t = 3 * (trial + i) + stage - 1, its
     conventional stream at channel trial 2t and its semantic stream at
     2t + 1. Returns (loss, parts) where parts is send_batch's dict:
-    x_hat (float64), s_tilde, r_tilde, mu, sigma, and alloc (None in
+    x_hat (float64), s_tilde, p_s, r_tilde, and alloc (None in
     stage 1). Every image passes the checks of transmit_image before any
     work, but for its minimum side: training computes no MS-SSIM.
     """
@@ -138,7 +138,7 @@ def training_forward(model, images, pcfg, snr_db, rng, stage, pcm, trial):
     cfg = replace(pcfg, channel=replace(pcfg.channel, snr_db=float(snr_db)))
     keys = [3 * (trial + i) + stage - 1 for i in range(len(images))]
     refs, _, parts = send_batch(model, images, cfg, pcm, keys, rng, stage == 1)
-    loss_inputs = [parts[name] for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma")]
+    loss_inputs = [parts[name] for name in ("x_hat", "p_s", "r_tilde")]
     return rd_loss(batch_to_tensor(refs), *loss_inputs, model, pcfg.lambda1), parts
 
 

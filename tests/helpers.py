@@ -132,20 +132,56 @@ def banks_decode_oracle(banks, received, alpha_bar):
     return grid.transpose(0, 3, 1, 2)
 
 
-def syndrome_oracle(pcm, bits):
-    """Per-check parity summed with reduceat over the edge list, the
-    reference for ldpc.syndrome."""
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(pcm.edge_row))])
+def dense_h(pcm):
+    """H of a lifted code as a dense 0/1 matrix [m, n], lifted from
+    pcm.base and pcm.z by the definition: a shift s >= 0 is the Z x Z
+    identity rolled s columns right, -1 the zero block."""
+    eye = np.eye(pcm.z, dtype=np.uint8)
+    zero = np.zeros_like(eye)
+    return np.block(
+        [[np.roll(eye, s, axis=1) if s >= 0 else zero for s in row] for row in pcm.base]
+    )
+
+
+def slot_tables_oracle(pcm):
+    """The (slot_col, col_slots) that the dense lifting implies: check i
+    reads its columns in ascending order, padded by the dummy column n;
+    column c lists the flat slots j * m + i that read it by ascending
+    check i, padded by the sentinel slot dmax * m."""
+    h = dense_h(pcm)
+    m, n = h.shape
+    reads = [np.flatnonzero(row) for row in h]
+    slot_col = np.full((max(map(len, reads)), m), n, dtype=np.intp)
+    slot_of = {}
+    for i, cols in enumerate(reads):
+        slot_col[: cols.size, i] = cols
+        slot_of.update({(i, c): j * m + i for j, c in enumerate(cols)})
+    fed = [np.flatnonzero(col) for col in h.T]
+    col_slots = np.full((max(map(len, fed)), n), slot_col.size, dtype=np.intp)
+    for c, checks in enumerate(fed):
+        col_slots[: checks.size, c] = [slot_of[i, c] for i in checks]
+    return slot_col, col_slots
+
+
+def edge_list(pcm):
+    """(check, column) of every 1 of H: by check, then by column."""
+    return np.nonzero(dense_h(pcm))
+
+
+def _edge_parity(edges, bits):
+    """Per-check parity of bits [frames, n] summed with reduceat over an
+    edge list grouped by check."""
+    rows, cols = edges
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
     bits = np.atleast_2d(np.asarray(bits)).astype(np.int64)
-    sums = np.add.reduceat(bits[:, pcm.edge_col], row_ptr[:-1], axis=1)
+    sums = np.add.reduceat(bits[:, cols], starts, axis=1)
     return (sums % 2).astype(np.uint8)
 
 
-def dense_h(pcm):
-    """H of a lifted code as a dense 0/1 matrix [m, n]."""
-    h = np.zeros((pcm.n - pcm.k, pcm.n), dtype=np.uint8)
-    h[pcm.edge_row, pcm.edge_col] = 1
-    return h
+def syndrome_oracle(pcm, bits):
+    """Per-check parity over the edge list of the dense lifting, the
+    reference for ldpc.syndrome."""
+    return _edge_parity(edge_list(pcm), bits)
 
 
 def gf2_rank(mat):
@@ -248,13 +284,14 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True)
     llr = np.atleast_2d(llr)
     frames = llr.shape[0]
     m = pcm.n - pcm.k
-    e_col = pcm.edge_col
-    r_start = np.concatenate([[0], np.cumsum(np.bincount(pcm.edge_row))])[:-1]
+    edges = edge_list(pcm)
+    e_row, e_col = edges
+    r_start = np.flatnonzero(np.diff(e_row, prepend=-1))
     col_perm = np.argsort(e_col, kind="stable")
     c_start = np.concatenate([[0], np.cumsum(np.bincount(e_col))])[:-1]
 
     bits = (llr < 0).astype(np.uint8)
-    converged = ~syndrome_oracle(pcm, bits).any(axis=1)
+    converged = ~_edge_parity(edges, bits).any(axis=1)
     iters = np.zeros(frames, dtype=np.int64)
     active = ~converged
     # fewest unsatisfied checks seen per frame, and the iterations since
@@ -277,7 +314,6 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True)
         zeros = np.add.reduceat(zero.astype(np.int64), r_start, axis=1)
         logsum = np.add.reduceat(logmag, r_start, axis=1)
 
-        e_row = pcm.edge_row
         other_zero = zeros[:, e_row] - zero
         magnitude = np.exp(logsum[:, e_row] - logmag)
         np.clip(magnitude, None, _TANH_CLIP, out=magnitude)
@@ -291,7 +327,7 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True)
 
         hard = (total < 0.0).astype(np.uint8)
         bits[active] = hard
-        unsatisfied = syndrome_oracle(pcm, hard).sum(axis=1)
+        unsatisfied = _edge_parity(edges, hard).sum(axis=1)
         for frame, count in zip(np.flatnonzero(active), unsatisfied):
             if record[frame] is None or count < record[frame]:
                 record[frame], stale[frame] = count, 0

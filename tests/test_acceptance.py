@@ -183,7 +183,7 @@ def _gradient_battery(rng):
     battery.append(
         (
             "rate-term",
-            lambda: rate_term(st, rt, mu, sigma, prior),
+            lambda: rate_term(likelihood(st, mu, sigma), rt, prior),
             [*prior.parameters(), st, rt, mu, sigma],
         )
     )

@@ -58,6 +58,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="block_len"):
             channel.ChannelConfig(kind="rayleigh_block", block_len=block_len)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 1.9, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            channel.ChannelConfig(seed=seed)
+
     def test_nan_snr_rejected(self):
         with pytest.raises(ValueError, match="snr_db must not be NaN"):
             channel.ChannelConfig(snr_db=np.nan)
@@ -68,6 +73,21 @@ class TestConfig:
     def test_minus_infinite_snr_rejected(self):
         with pytest.raises(ValueError, match="snr_db must not be -inf"):
             channel.ChannelConfig(snr_db=-np.inf)
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize(
+        "seed, substream",
+        [(-1, 0), (0, -1), (1.5, 0), (1.9, 0), (True, 0), (0, 2.0), (0, False)],
+    )
+    def test_bad_seed_or_substream_rejected(self, seed, substream):
+        # a float used to be truncated: 1.5 and 1.9 drew seed 1's stream
+        with pytest.raises(ValueError, match="seed and substream must be integers >= 0"):
+            make_rng(seed, substream)
+
+    def test_numpy_integers_accepted(self):
+        got = make_rng(np.int64(5), np.uint32(2)).standard_normal(4)
+        np.testing.assert_array_equal(got, make_rng(5, 2).standard_normal(4))
 
 
 class TestTransmit:

@@ -69,6 +69,19 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="kind"):
             config.parse_config("[channel]\nkind = fancy\n")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[channel]\nblock_len = 0\n", r"block_len must be an integer >= 1, got 0$"),
+            ("[channel]\nseed = -1\n", r"value: seed must be an integer >= 0, got -1$"),
+            ("[model]\ninit_seed = -1\n", r"ModelConfig\.init_seed must be an integer >= 0, got -1$"),
+        ],
+    )
+    def test_bad_channel_and_model_values_rejected_at_parse(self, text, match):
+        # each used to pass parsing and fail only at the first sweep point
+        with pytest.raises(ConfigError, match=match):
+            config.parse_config(text)
+
     def test_bad_range_step(self):
         with pytest.raises(ConfigError, match="step"):
             config.parse_config("[sweep]\nsnr_db = 2:12:0\n")

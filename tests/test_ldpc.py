@@ -4,14 +4,16 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     codeword_table,
     dense_h,
+    edge_list,
     gf2_rank,
     ldpc_decode_bp_oracle,
+    slot_tables_oracle,
     syndrome_oracle,
     table_encode,
 )
@@ -52,9 +54,24 @@ class TestParseTable:
             ldpc.load_base_table("missing_table.txt")
 
 
+@st.composite
+def _drawn_bases(draw):
+    """A base of 1-5 rows and at least as many columns, with shifts in
+    [0, z) and a drawn share of -1 entries; some have an empty row or
+    column."""
+    m_b = draw(st.integers(1, 5))
+    n_b = draw(st.integers(m_b, 8))
+    z = draw(st.integers(1, 12))
+    density = draw(st.floats(0.0, 0.8))
+    rng = make_rng(draw(st.integers(0, 2**31 - 1)))
+    shifts = rng.integers(0, z, (m_b, n_b))
+    return np.where(rng.random((m_b, n_b)) < density, -1, shifts), z
+
+
 class TestBuild:
     def test_slot_table_matches_edge_list(self, desk_code):
         pcm = desk_code
+        edge_row, edge_col = edge_list(pcm)
         slots, m = pcm.slot_col.shape
         assert m == pcm.n - pcm.k
         check = np.broadcast_to(np.arange(m), pcm.slot_col.shape)
@@ -62,7 +79,7 @@ class TestBuild:
         # every edge sits in exactly one slot of its check
         np.testing.assert_array_equal(
             np.sort(check[real] * pcm.n + pcm.slot_col[real]),
-            np.sort(pcm.edge_row * pcm.n + pcm.edge_col),
+            np.sort(edge_row * pcm.n + edge_col),
         )
         # each column lists the slots that read it, padded by the sentinel
         feeds = pcm.col_slots < slots * m
@@ -70,7 +87,27 @@ class TestBuild:
             pcm.slot_col.reshape(-1)[pcm.col_slots[feeds]],
             np.broadcast_to(np.arange(pcm.n), pcm.col_slots.shape)[feeds],
         )
-        assert feeds.sum() == real.sum() == pcm.edge_col.size
+        assert feeds.sum() == real.sum() == edge_col.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_drawn_bases())
+    @example(drawn=ldpc.load_base_table(DESK_TABLE))
+    @example(drawn=ldpc.load_base_table(FULL_TABLE))
+    def test_slot_tables_match_the_dense_lifting(self, drawn):
+        base, z = drawn
+        live = base >= 0
+        empty_rows = np.flatnonzero(~live.any(axis=1))
+        if empty_rows.size:
+            with pytest.raises(ldpc.LdpcError, match=f"^base row {empty_rows[0]} is empty$"):
+                ldpc.build_qc_ldpc(base, z)
+        elif not live.any(axis=0).all():
+            with pytest.raises(ldpc.LdpcError, match="^expanded matrix has an empty column$"):
+                ldpc.build_qc_ldpc(base, z)
+        else:
+            pcm = ldpc.build_qc_ldpc(base, z)
+            for got, want in zip((pcm.slot_col, pcm.col_slots), slot_tables_oracle(pcm)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_identity_lift(self):
         pcm = ldpc.build_qc_ldpc([[0]], 4)

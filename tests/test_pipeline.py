@@ -403,7 +403,7 @@ class TestSemanticForward:
                 for ref, res, x_c, key in zip(refs, residuals, x_cs, keys)
             ]
         assert np.count_nonzero(batch["s_tilde"].data)
-        for name in ("x_hat", "s_tilde", "r_tilde", "mu", "sigma"):
+        for name in ("x_hat", "s_tilde", "p_s", "r_tilde"):
             np.testing.assert_allclose(
                 batch[name].data,
                 np.concatenate([one[name].data for one in ones]),

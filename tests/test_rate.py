@@ -152,26 +152,24 @@ class TestRateTerm:
         prior = rate.FactorizedPrior(1, make_rng(15))
         r = Tensor(np.zeros((1, 1, 1, 1)))
         prior_bits = -np.log2(prior(r).data).sum()
-        bits = rate.rate_term(
+        p_s = rate.likelihood(
             Tensor(np.zeros((1, 1, 1, 1))),
-            r,
             Tensor(np.zeros((1, 1, 1, 1))),
             Tensor(np.full((1, 1, 1, 1), SIGMA_HALF)),
-            prior,
         )
+        bits = rate.rate_term(p_s, r, prior)
         assert bits.data == pytest.approx(1.0 + prior_bits, abs=1e-9)
 
     def test_certain_features_cost_nothing(self):
         prior = rate.FactorizedPrior(1, make_rng(16))
         r = Tensor(np.zeros((1, 1, 1, 1)))
         prior_bits = -np.log2(prior(r).data).sum()
-        bits = rate.rate_term(
+        p_s = rate.likelihood(
             Tensor(np.full((1, 1, 2, 2), 5.0)),
-            r,
             Tensor(np.full((1, 1, 2, 2), 5.0)),
             Tensor(np.full((1, 1, 2, 2), 1e-6)),
-            prior,
         )
+        bits = rate.rate_term(p_s, r, prior)
         assert bits.data == pytest.approx(prior_bits, abs=1e-9)
 
     def test_matches_scipy_oracle(self):
@@ -185,7 +183,7 @@ class TestRateTerm:
             (s - mu - 0.5) / sigma
         )
         expected = -np.log2(p_s).sum() - np.log2(prior(r).data).sum()
-        bits = rate.rate_term(Tensor(s), r, Tensor(mu), Tensor(sigma), prior)
+        bits = rate.rate_term(rate.likelihood(Tensor(s), Tensor(mu), Tensor(sigma)), r, prior)
         assert bits.data == pytest.approx(expected, rel=1e-9)
 
 

@@ -50,17 +50,21 @@ class TestRdLoss:
         sigma = Tensor(rng.uniform(0.5, 1.5, (2, 4, 2, 2)), requires_grad=True)
         return x, x_hat, s, r, mu, sigma
 
+    @staticmethod
+    def _loss(x, x_hat, s, r, mu, sigma, model, lambda1):
+        return rd_loss(x, x_hat, rate.likelihood(s, mu, sigma), r, model, lambda1)
+
     def test_zero_lambda_is_pure_mse(self):
         model = toy_model()
         x, x_hat, s, r, mu, sigma = self._inputs(model)
-        loss = rd_loss(x, x_hat, s, r, mu, sigma, model, 0.0)
+        loss = self._loss(x, x_hat, s, r, mu, sigma, model, 0.0)
         err = (x_hat.data - x.data) * 255.0
         assert loss.data == (err * err).mean()
 
     def test_perfect_reconstruction_is_zero(self):
         model = toy_model()
         x, _, s, r, mu, sigma = self._inputs(model)
-        loss = rd_loss(x, x, s, r, mu, sigma, model, 0.0)
+        loss = self._loss(x, x, s, r, mu, sigma, model, 0.0)
         assert loss.data == 0.0
 
     def test_rate_term_enters_per_image(self):
@@ -68,9 +72,9 @@ class TestRdLoss:
         # divided by the batch size
         model = toy_model()
         x, x_hat, s, r, mu, sigma = self._inputs(model)
-        base = rd_loss(x, x_hat, s, r, mu, sigma, model, 0.0)
-        full = rd_loss(x, x_hat, s, r, mu, sigma, model, 0.4)
-        bits = rate.rate_term(s, r, mu, sigma, model.prior)
+        base = self._loss(x, x_hat, s, r, mu, sigma, model, 0.0)
+        full = self._loss(x, x_hat, s, r, mu, sigma, model, 0.4)
+        bits = rate.rate_term(rate.likelihood(s, mu, sigma), r, model.prior)
         np.testing.assert_allclose(
             full.data - base.data, 0.4 * bits.data / 2.0, rtol=1e-12
         )
@@ -80,7 +84,7 @@ class TestRdLoss:
         x, x_hat, s, r, mu, sigma = self._inputs(model)
 
         def fn():
-            return rd_loss(x, x_hat, s, r, mu, sigma, model, 0.1)
+            return self._loss(x, x_hat, s, r, mu, sigma, model, 0.1)
 
         assert gradcheck(fn, [x_hat, s, r, mu, sigma]) < 1e-4
 
