@@ -2,9 +2,10 @@
 
 The engine is deliberately small: a node holds its operands and their
 local gradients, and only the operations the semantic branch needs
-(elementwise arithmetic, matmul, reductions, reshaping, indexing, 2-D
-convolution and its adjoint, and a handful of activations). There is no
-GPU path and no broadcasting beyond what the layers in this package use.
+(elementwise arithmetic, matmul, whole-tensor sum and mean, reshaping,
+indexing, joining along an existing axis, 2-D convolution and its
+adjoint, and a handful of activations). There is no GPU path and no
+broadcasting beyond what the layers in this package use.
 
 Every op gives ``Tensor._from_op`` its value and, per operand, a pair of
 the operand and its local gradient: a function from the output gradient
@@ -45,7 +46,6 @@ __all__ = [
     "DimensionError",
     "Tensor",
     "concat",
-    "stack",
     "log",
     "sqrt",
     "tanh",
@@ -115,18 +115,6 @@ class Tensor:
             out._owned = owned
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -166,19 +154,19 @@ class Tensor:
             )
         order = []
         seen = set()
-        stack_ = [(self, False)]
-        while stack_:
-            node, expanded = stack_.pop()
+        pending = [(self, False)]
+        while pending:
+            node, expanded = pending.pop()
             if expanded:
                 order.append(node)
                 continue
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            stack_.append((node, True))
+            pending.append((node, True))
             for operand, _ in node._edges:
                 if id(operand) not in seen:
-                    stack_.append((operand, False))
+                    pending.append((operand, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             for operand, local_grad in node._edges:
@@ -276,27 +264,14 @@ class Tensor:
 
     # -- reductions -----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
         src_shape = self.data.shape
-
-        def spread(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, src_shape)
-
         return Tensor._from_op(
-            self.data.sum(axis=axis, keepdims=keepdims), [(self, spread)], owned=False
+            self.data.sum(), [(self, lambda g: np.broadcast_to(g, src_shape))], owned=False
         )
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.data.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
 
 def _wrap(value, like: Tensor | None = None) -> Tensor:
@@ -354,17 +329,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         edges.append((t, lambda g, piece=lead + (slice(start, stop),): g[piece]))
         start = stop
     return Tensor._from_op(out_data, edges, owned=False)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack along a new axis, built from reshape + concat."""
-    expanded = []
-    for t in tensors:
-        t = _wrap(t)
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else axis + t.data.ndim + 1, 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis=axis)
 
 
 # -- elementwise functions -----------------------------------------------------

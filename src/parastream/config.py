@@ -12,8 +12,10 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import metrics
 from .channel import ChannelConfig
 from .pipeline import DEFAULT_TABLE, ModelConfig
+from .rng import _is_int
 
 MAX_RANGE_POINTS = 10_000
 
@@ -45,6 +47,12 @@ class ExperimentConfig:
     out: str = "sweep"
 
     def __post_init__(self):
+        for field, low in (
+            ("corpus_count", 1), ("corpus_seed", 0), ("corpus_size", metrics.WINDOW)
+        ):
+            value = getattr(self, field)
+            if not _is_int(value, low):
+                raise ConfigError(f"{field} must be an integer >= {low}, got {value!r}")
         try:  # the configs a sweep point builds check their own fields
             ChannelConfig(kind=self.channel_kind, block_len=self.block_len, seed=self.channel_seed)
             ModelConfig(init_seed=self.init_seed)

@@ -52,6 +52,8 @@ def make_corpus(count: int, size: int, seed: int) -> list[np.ndarray]:
     """Deterministic list of H x W x 3 images cycling through the kinds."""
     if size < 1:
         raise ValueError(f"image size must be at least 1, got size={size}")
+    if count < 0:
+        raise ValueError(f"image count must be at least 0, got count={count}")
     rng = make_rng(seed)
     return [_KINDS[i % len(_KINDS)](rng, size) for i in range(count)]
 
@@ -68,6 +70,10 @@ def write_ppm(path, img: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
+    """An 8-bit binary (P6) PPM file as an H x W x 3 float array in
+    [0, 1]. A file that is not one (another magic number or maxval, a
+    header cut short or not numeric, a width or height below 1, or a
+    raster shorter than w * h * 3 bytes) raises ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields = []
@@ -82,12 +88,24 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise ValueError(f"{path}: PPM header cut short after {len(fields)} of 4 fields")
         fields.append(data[start:pos])
     if fields[0] != b"P6":
-        raise ValueError(f"not a P6 PPM file: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        raise ValueError(f"{path}: not a P6 PPM file: magic {fields[0]!r}")
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PPM header {b' '.join(fields[1:])!r} is not numeric") from None
     if maxval != 255:
-        raise ValueError(f"only 8-bit PPM supported, maxval {maxval}")
+        raise ValueError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: empty PPM image, {w} x {h}")
     pos += 1  # single whitespace after maxval
-    raw = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
+    raster = data[pos : pos + h * w * 3]
+    if len(raster) < h * w * 3:
+        raise ValueError(
+            f"{path}: PPM raster holds {len(raster)} bytes, {w} x {h} x 3 needs {h * w * 3}"
+        )
+    raw = np.frombuffer(raster, dtype=np.uint8)
     return raw.reshape(h, w, 3).astype(np.float64) / 255.0

@@ -177,6 +177,8 @@ def build_qc_ldpc(base, z):
     base = np.asarray(base, dtype=np.int64)
     if base.ndim != 2:
         raise LdpcError("base matrix must be two-dimensional")
+    if base.size == 0:
+        raise LdpcError(f"base matrix is empty, shape {base.shape}")
     if z < 1:
         raise LdpcError("lifting size must be positive")
     if base.min() < -1 or base.max() >= z:

@@ -290,7 +290,7 @@ def semantic_forward(model, refs, residuals, x_c_hats, chan, keys, rng=None, byp
         sent = model.banks.encode(s_tilde, alloc)
     received = [send_analog(v, chan, 2 * t + 1) for v, t in zip(sent, keys)]
     if bypass:
-        s_hat = ad.stack(received).reshape(s.data.shape)
+        s_hat = ad.concat(received).reshape(s.data.shape)
     else:
         blobs = [rate.pack_rate_indices(idx) for idx in alloc.indices()]
         rx_idx = np.stack([rate.unpack_rate_indices(blob, alloc.k_s) for blob in blobs])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -212,13 +213,17 @@ def save_model(path, model, history=()):
 
 def load_model(path):
     """Rebuild a model from :func:`save_model` output. Returns
-    (model, history). A file that is not such a checkpoint, names a
+    (model, history). A file that is not such a checkpoint (empty, not an
+    .npz archive, cut short, or an archive without its entries), names a
     config key ModelConfig does not have, holds a config ModelConfig or
     SemanticModel rejects or misses a parameter raises ValueError naming
-    the problem."""
+    the file and the problem."""
     with open(path, "rb") as fh:
-        blob = np.load(fh, allow_pickle=False)
-        entries = {name: blob[name] for name in getattr(blob, "files", ())}
+        try:
+            blob = np.load(fh, allow_pickle=False)
+            entries = {name: blob[name] for name in getattr(blob, "files", ())}
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            raise ValueError(f"{path}: not a model checkpoint, no readable .npz archive") from None
     absent = [k for k in ("__config__", "__stage__", "__history__") if k not in entries]
     if absent:
         raise ValueError(f"{path}: not a model checkpoint, no {', '.join(absent)} entry")

@@ -202,18 +202,11 @@ class TestElementwiseGradients:
         for p, grad in zip((pieces[0], pieces[2]), live):
             np.testing.assert_array_equal(p.grad, grad)
 
-    def test_stack_last_axis(self):
-        rng = np.random.default_rng(19)
-        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        proj = rng.standard_normal((2, 3, 2))
-        err = gradcheck(lambda: projection_loss(ad.stack([a, b * a], axis=-1), proj), [a, b])
-        assert err < GRAD_TOL
-
     def test_mean_and_transpose(self):
         rng = np.random.default_rng(9)
         a = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        err = gradcheck(lambda: a.transpose(1, 0).mean(axis=0).sum(), [a])
+        proj = rng.standard_normal((5, 3))
+        err = gradcheck(lambda: (a.transpose(1, 0) * proj).mean(), [a])
         assert err < GRAD_TOL
 
 
@@ -544,7 +537,6 @@ class TestEdgeHelpers:
         "leaky_relu": lambda x: ad.leaky_relu(x - 1.0),
         "reshape": lambda x: x.reshape(3, 2),
         "transpose": lambda x: x.transpose(1, 0),
-        "sum": lambda x: x.sum(axis=0),
         "sum-all": lambda x: x.sum(),
     }
     # name -> (op, shape of y against an x of shape (2, 3))

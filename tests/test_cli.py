@@ -101,6 +101,18 @@ class TestTransmitCommand:
         assert err.startswith(f"error: {bad}: not a model checkpoint")
         assert not out.exists()
 
+    def test_empty_checkpoint_fails_cleanly(self, ppm, tmp_path, capsys):
+        bad = tmp_path / "empty.npz"
+        bad.write_bytes(b"")
+        out = tmp_path / "rx.ppm"
+        rc = cli.main([
+            "transmit", "--image", str(ppm), "--out", str(out), "--snr", "10",
+            "--model", str(bad),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not a model checkpoint")
+        assert not out.exists()
+
     def test_bad_checkpoint_config_fails_cleanly(self, ppm, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         training.save_model(bad, toy_model())
@@ -164,7 +176,7 @@ class TestSweepCommand:
         assert len(out) == 5
         assert out[0].endswith("s.csv")
 
-    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("count", [1, 2])  # count = 0 fails at parse
     def test_corpus_smaller_than_images_fails_cleanly(self, tmp_path, capsys, count):
         ini = tmp_path / "exp.ini"
         ini.write_text(

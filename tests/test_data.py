@@ -1,5 +1,7 @@
 """Synthetic corpus generators and PPM round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match=f"size={size}"):
             data.make_corpus(2, size, 1)
 
+    def test_corpus_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count=-1"):
+            data.make_corpus(-1, 16, 1)
+        assert data.make_corpus(0, 16, 1) == []
+
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
@@ -74,3 +81,26 @@ class TestPpm:
         img = data.read_ppm(path)
         assert img.shape == (1, 2, 3)
         np.testing.assert_array_equal(img, 0.0)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (b"P6\n2 1\n", r"header cut short after 3 of 4 fields"),
+            (b"P6\n2", r"header cut short after 2 of 4 fields"),
+            (b"", r"header cut short after 0 of 4 fields"),
+            (b"P6\n2 x\n255\n" + bytes(6), r"header b'2 x 255' is not numeric"),
+            (b"P6\n2 2\n255\n" + bytes(11), r"raster holds 11 bytes, 2 x 2 x 3 needs 12"),
+            (b"P6\n2 1\n255", r"raster holds 0 bytes, 2 x 1 x 3 needs 6"),
+            (b"P6\n0 0\n255\n", r"empty PPM image, 0 x 0"),
+            (b"P6\n3 0\n255\n", r"empty PPM image, 3 x 0"),
+        ],
+        ids=[
+            "no-maxval", "no-height", "empty-file", "text-height", "short-raster",
+            "no-raster", "zero-size", "zero-height",
+        ],
+    )
+    def test_read_rejects_broken_file_naming_it(self, tmp_path, raw, match):
+        path = tmp_path / "broken.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{match}$"):
+            data.read_ppm(path)

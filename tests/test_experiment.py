@@ -82,6 +82,25 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match=match):
             config.parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[corpus]\nseed = -1\n", r"corpus_seed must be an integer >= 0, got -1$"),
+            ("[corpus]\ncount = 0\n", r"corpus_count must be an integer >= 1, got 0$"),
+            ("[corpus]\ncount = -3\n", r"corpus_count must be an integer >= 1, got -3$"),
+            ("[corpus]\nsize = 7\n", r"corpus_size must be an integer >= 11, got 7$"),
+        ],
+        ids=["negative-seed", "zero-count", "negative-count", "size-below-window"],
+    )
+    def test_bad_corpus_values_rejected_at_parse(self, text, match):
+        # each used to pass parsing and fail only inside sweep_rows
+        with pytest.raises(ConfigError, match=match):
+            config.parse_config(text)
+
+    def test_smallest_corpus_values_accepted(self):
+        cfg = config.parse_config("[corpus]\ncount = 1\nsize = 11\nseed = 0\n")
+        assert (cfg.corpus_count, cfg.corpus_size, cfg.corpus_seed) == (1, 11, 0)
+
     def test_bad_range_step(self):
         with pytest.raises(ConfigError, match="step"):
             config.parse_config("[sweep]\nsnr_db = 2:12:0\n")
@@ -214,7 +233,7 @@ class TestSweep:
             rows = [l for l in block.splitlines() if not l.startswith("#")]
             assert all(len(r.split()) == 2 for r in rows)
 
-    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("count", [1, 2])  # count = 0 fails at parse
     def test_corpus_smaller_than_images_rejected(self, count, monkeypatch):
         def reached(*args, **kwargs):
             raise AssertionError("transmitted before the corpus was checked")

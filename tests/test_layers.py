@@ -200,7 +200,10 @@ class TestInputDtypeRule:
         layer = factory(make_rng(31))
         noise = make_rng(32)
         layer.load_state_dict(
-            {n: p.data + 0.1 * noise.standard_normal(p.shape) for n, p in layer.named_parameters()}
+            {
+                n: p.data + 0.1 * noise.standard_normal(p.data.shape)
+                for n, p in layer.named_parameters()
+            }
         )
         return layer
 

@@ -1,6 +1,7 @@
 """QC-LDPC construction, encoding, and sum-product decoding."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ class TestBuild:
             ldpc.build_qc_ldpc([[4]], 4)
         with pytest.raises(ldpc.LdpcError, match="shifts"):
             ldpc.build_qc_ldpc([[-2]], 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_empty_base_rejected(self, shape):
+        with pytest.raises(ldpc.LdpcError, match=f"^base matrix is empty, shape {re.escape(str(shape))}$"):
+            ldpc.build_qc_ldpc(np.zeros(shape, dtype=np.int64), 4)
 
     def test_empty_column_rejected(self):
         with pytest.raises(ldpc.LdpcError, match="empty"):

@@ -14,6 +14,7 @@ from parastream import autodiff, codec, data, ldpc, metrics, pipeline, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
 from parastream.decoder import SemanticDecoder
+from parastream.encoder import SemanticEncoder
 from parastream.layers import ConvTranspose2d, frozen
 from parastream.modem import qpsk_modulate
 from parastream.rng import make_rng
@@ -417,6 +418,40 @@ class TestSemanticForward:
                 batch["alloc"].alpha_bar,
                 np.concatenate([one["alloc"].alpha_bar for one in ones]),
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clear_bypass_hands_the_decoder_the_encoder_features(
+        self, loud_model, monkeypatch, dtype
+    ):
+        # at snr_db = inf the noise is exactly 0 and keep exactly 1, so
+        # stage 1's send and regroup must return s itself, [B, C, H, W]
+        images = data.make_corpus(count=3, size=16, seed=5)
+        refs, x_cs, residuals = (
+            [a.astype(dtype) for a in arrays]
+            for arrays in zip(*(pipeline.split_source(x, 50)[:3] for x in images))
+        )
+        seen = {}
+        encode, decode = SemanticEncoder.__call__, SemanticDecoder.__call__
+
+        def encoder_spy(encoder, x, x_r):
+            seen["s"], _ = out = encode(encoder, x, x_r)
+            return out
+
+        def decoder_spy(decoder, x_c, s_hat, snr_db):
+            seen["s_hat"] = s_hat
+            return decode(decoder, x_c, s_hat, snr_db)
+
+        monkeypatch.setattr(SemanticEncoder, "__call__", encoder_spy)
+        monkeypatch.setattr(SemanticDecoder, "__call__", decoder_spy)
+        chan = ChannelConfig(kind="rayleigh_block", snr_db=math.inf, block_len=4)
+        with frozen(loud_model.parameters()):
+            pipeline.semantic_forward(
+                loud_model, refs, residuals, x_cs, chan, [4, 9, 2], bypass=True
+            )
+        s, s_hat = seen["s"].data, seen["s_hat"].data
+        assert s.dtype == dtype and s.ndim == 4 and np.count_nonzero(s)
+        assert s_hat.dtype == s.dtype and s_hat.shape == s.shape
+        assert s_hat.tobytes() == s.tobytes()
 
     def test_transmit_is_its_batch_of_one(self, loud_model):
         # transmit_image runs the encoder and decoder in float32: its

@@ -2,6 +2,7 @@
 schedule."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -707,6 +708,16 @@ class TestTrainLoop:
     def test_bad_checkpoint_raises_value_error(self, tmp_path, change, message):
         path = rewritten_checkpoint(tmp_path, change)
         with pytest.raises(ValueError, match=message):
+            training.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["empty", "text", "cut-in-half"])
+    def test_unreadable_file_is_not_a_checkpoint(self, tmp_path, kind):
+        path = tmp_path / "model.npz"
+        save_model(path, toy_model(seed=3), [1.0])
+        whole = path.read_bytes()
+        raw = {"empty": b"", "text": b"not a checkpoint\n", "cut-in-half": whole[: len(whole) // 2]}
+        path.write_bytes(raw[kind])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a model checkpoint"):
             training.load_model(path)
 
     def test_checkpoint_shape_mismatch_rejected(self):
