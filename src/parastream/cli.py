@@ -181,8 +181,32 @@ _COMMANDS = {
 }
 
 
+def _is_floats(text):
+    try:
+        _floats(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_values(argv):
+    """argparse takes an SNR value that starts with "-" but is not a
+    plain negative number ("-inf", "-2,4") for an option, and reports
+    "expected one argument". Attach such a value to its option, as in
+    "--snr=-inf", so that it reaches the channel's own checks."""
+    joined = []
+    for arg in argv:
+        option = joined[-1] if joined else None
+        if option in ("--snr", "--snr-set") and arg.startswith("-") and _is_floats(arg):
+            joined[-1] = f"{option}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signed_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CodecError, LdpcError, ValueError, OSError) as exc:

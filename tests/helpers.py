@@ -269,15 +269,22 @@ def send_conventional_oracle(blob, shape, cfg, pcm, trial):
     return x_c, corrupted, segments
 
 
+# caps a float64 tanh below 1, so a message stays below 2 * arctanh(it) = 21.4
+_ORACLE_TANH_CLIP = 0.999999999
+
+
 def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True):
-    """Edge-list, log-domain sum-product decoder: the reference that
-    ldpc.ldpc_decode_bp must match in bits, convergence and iterations.
-    Same flooding schedule, early stopping, stall abort and tanh clip;
+    """Edge-list, log-domain sum-product decoder in float64: the
+    reference for ldpc.ldpc_decode_bp. Same flooding schedule, early
+    stopping and stall abort, on full-scale float64 messages with its
+    own tanh clip (_ORACLE_TANH_CLIP, which rounds to 1 in float32);
     the check-node product is a sum of log magnitudes, gathered per row
-    and per column with reduceat. With stall_abort=False every frame
-    runs until it converges or reaches max_iter: the plain flooding
-    decoder."""
-    from parastream.ldpc import _TANH_CLIP, STALL_FRACTION, STALL_ITERS
+    and per column with reduceat. ldpc_decode_bp runs in float32, so
+    the two agree on convergence and on the bits of converged frames,
+    not bit for bit (see tests/test_ldpc.py). With stall_abort=False
+    every frame runs until it converges or reaches max_iter: the plain
+    flooding decoder."""
+    from parastream.ldpc import STALL_FRACTION, STALL_ITERS
 
     llr = np.asarray(llr, dtype=np.float64)
     single = llr.ndim == 1
@@ -305,7 +312,7 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True)
         iteration += 1
         msg = v2c[active]
         t = np.tanh(0.5 * msg)
-        np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+        np.clip(t, -_ORACLE_TANH_CLIP, _ORACLE_TANH_CLIP, out=t)
         zero = t == 0.0
         sign = np.where(t < 0.0, -1.0, 1.0)
         logmag = np.log(np.abs(np.where(zero, 1.0, t)))
@@ -316,7 +323,7 @@ def ldpc_decode_bp_oracle(pcm, llr, max_iter=MAX_ITER_DEFAULT, stall_abort=True)
 
         other_zero = zeros[:, e_row] - zero
         magnitude = np.exp(logsum[:, e_row] - logmag)
-        np.clip(magnitude, None, _TANH_CLIP, out=magnitude)
+        np.clip(magnitude, None, _ORACLE_TANH_CLIP, out=magnitude)
         row_sign = 1.0 - 2.0 * (neg[:, e_row] % 2)
         product = np.where(other_zero > 0, 0.0, row_sign * sign * magnitude)
         c2v = 2.0 * np.arctanh(product)

@@ -131,11 +131,11 @@ class TestTransmitCommand:
         assert err.startswith(f"error: {bad}: bad model config: ModelConfig.growth")
         assert not out.exists()
 
-    def test_minus_infinite_snr_fails_at_the_channel(self, ppm, tmp_path, capsys):
-        # argparse reads a bare "-inf" as an option, so the value is attached
+    @pytest.mark.parametrize("snr", [["--snr=-inf"], ["--snr", "-inf"]], ids=["attached", "bare"])
+    def test_minus_infinite_snr_fails_at_the_channel(self, ppm, tmp_path, capsys, snr):
         out = tmp_path / "rx.ppm"
         rc = cli.main([
-            "transmit", "--image", str(ppm), "--out", str(out), "--snr=-inf",
+            "transmit", "--image", str(ppm), "--out", str(out), *snr,
             "--conventional-only",
         ])
         assert rc == 2
@@ -202,11 +202,13 @@ class TestSweepCommand:
 
 
 class TestTrainCommand:
-    def test_tiny_run_saves_checkpoint(self, tmp_path, capsys):
+    # a list that starts with a minus sign is still the option's value
+    @pytest.mark.parametrize("snr_set", ["10", "-2,4"])
+    def test_tiny_run_saves_checkpoint(self, tmp_path, capsys, snr_set):
         out = tmp_path / "model.npz"
         rc = cli.main([
             "train", "--out", str(out), "--size", "16", "--count", "2",
-            "--steps", "1,1,1", "--batch", "1", "--snr-set", "10",
+            "--steps", "1,1,1", "--batch", "1", "--snr-set", snr_set,
         ])
         assert rc == 0
         assert out.exists()
@@ -276,6 +278,19 @@ class TestFecBenchCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "snr_db must not be NaN" in err and "LLR" not in err
+
+    @pytest.mark.parametrize("snr", ["-inf", "-inf,8", "8,-inf"])
+    def test_minus_infinite_snr_fails_at_the_channel(self, capsys, snr):
+        rc = cli.main(["fec-bench", "--snr", snr, "--frames", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "snr_db must not be -inf" in err and "expected one argument" not in err
+
+    def test_negative_snr_list_is_a_value(self, capsys):
+        rc = cli.main(["fec-bench", "--snr", "-2,-1.5", "--frames", "5", "--max-iter", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["snr_db=-2", "snr_db=-1.5"]
 
     def test_zero_frames_fails_cleanly(self, capsys):
         rc = cli.main(["fec-bench", "--frames", "0"])

@@ -361,6 +361,32 @@ class TestConventionalOnly:
         assert len(per_frame) == report["frame_count"] == 2
         assert all(type(i) is int for i in per_frame)
 
+    def test_across_the_cliff_outputs_and_accounting_hold(self):
+        # seeded transmits where BP works hardest: every call keeps its
+        # image in [0, 1], its frame accounting exact, and flags each
+        # image that a frame failed to decode
+        pcm = pipeline.load_code()
+        outcomes = set()
+        for size in (16, 32, 64):
+            images = data.make_corpus(4, size, 400 + size)
+            for snr_db in (1.0, 3.0, 4.5):
+                cfg = desk_config(snr_db=snr_db, semantic=False, seed=size)
+                for call, x in enumerate(images * 3):
+                    x_hat, frame, report = pipeline.transmit_image(x, cfg, seed=call, pcm=pcm)
+                    assert x_hat.shape == x.shape and np.isfinite(x_hat).all()
+                    assert x_hat.min() >= 0.0 and x_hat.max() <= 1.0
+                    count = report["frame_count"]
+                    assert count == len(frame.frame_bits) == len(report["bp_iterations_per_frame"])
+                    assert sum(frame.frame_bits) == 8 * len(codec.compress(x, cfg.q))
+                    assert sum(frame.frame_bits) == count * pcm.k - frame.pad_bits
+                    assert frame.n == frame.image_symbols == count * pcm.n // 2
+                    assert report["cbr"] == frame.n / frame.k
+                    failed = report["frames_converged"] < count
+                    assert report["corrupted"] or not failed
+                    outcomes.add((failed, report["corrupted"]))
+        # the battery holds images with a failed frame, and clean ones
+        assert {(True, True), (False, False)} <= outcomes
+
     def test_deep_noise_corrupts_and_degrades_gracefully(self, image):
         cfg = desk_config(snr_db=-5.0, semantic=False)
         x_hat, _, report = pipeline.transmit_image(image, cfg, seed=1)
