@@ -25,13 +25,16 @@ differs, the line gives the change's signed difference relative to the
 parent, so a change that is not bit-identical shows how far it moved
 the floats. Under the summary it prints the ``src/**/*.py`` line count
 of each side and their signed difference, then each file whose count
-differs between the sides.
+differs between the sides. Last come the fields of each side's
+``*Config`` dataclasses under ``src``, in total and per class, so an
+options change is measured the way a line change is.
 Standard library only; run it from any directory of the repository.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import pathlib
 import statistics
@@ -178,6 +181,46 @@ def line_counts(parent: pathlib.Path, change: pathlib.Path) -> str:
     return "\n".join(lines)
 
 
+def _decorator_name(node) -> str | None:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def config_fields(root: pathlib.Path) -> dict:
+    """Field count of each dataclass named ``*Config`` in the
+    ``src/**/*.py`` files under ``root``, by class name. The files are
+    parsed with ``ast``, not imported, so any checkout can be read."""
+    counts = {}
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith("Config")
+                and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)
+            ):
+                counts[node.name] = sum(
+                    isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    for stmt in node.body
+                )
+    return counts
+
+
+def field_counts(parent: pathlib.Path, change: pathlib.Path) -> str:
+    """The ``*Config`` field total of each side, then one line per class
+    with both sides' counts; a class on one side only counts 0 fields on
+    the other."""
+    before, after = config_fields(parent), config_fields(change)
+    total_before, total_after = sum(before.values()), sum(after.values())
+    lines = [
+        f"*Config dataclass fields: parent {total_before}, change {total_after}"
+        f" ({total_after - total_before:+d})"
+    ]
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, 0), after.get(name, 0)
+        lines.append(f"  {name} {old} -> {new}" + (f" ({new - old:+d})" if old != new else ""))
+    return "\n".join(lines)
+
+
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -216,11 +259,13 @@ def main():
             line += "".join(", " + cell for cell in cells.values())
             print(line, flush=True)
         lines = line_counts(sides["parent"], sides["change"])
+        fields = field_counts(sides["parent"], sides["change"])
     matched = ", ".join(f"quality {key} same on {n}/{args.pairs} pairs" for key, n in same.items())
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent {args.parent}, "
           f"change working tree, seeds {args.seeds}; {matched}")
     print(summary(spec["end_to_end"], runs))
     print(lines)
+    print(fields)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .channel import ChannelConfig
-from .pipeline import DEFAULT_TABLE, ModelConfig
+from .pipeline import DEFAULT_TABLE, ModelConfig, PipelineConfig
 from .rng import _is_int
 
 MAX_RANGE_POINTS = 10_000
@@ -28,45 +28,53 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    corpus_count: int = 32
     corpus_size: int = 16
     corpus_seed: int = 1000
     ppm_dir: str | None = None
     channel_kind: str = "awgn"
     block_len: int = 1
     channel_seed: int = 0
-    q: int = 50
     code: str = DEFAULT_TABLE
     semantic: bool = True
     checkpoint: str | None = None
     init_seed: int = 0
     snr_points: tuple = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-    q_points: tuple = ()
+    q_points: tuple = (50,)
     trials: int = 5
     images: int = 8
     out: str = "sweep"
 
     def __post_init__(self):
         for field, low in (
-            ("corpus_count", 1), ("corpus_seed", 0), ("corpus_size", metrics.WINDOW)
+            ("corpus_seed", 0), ("corpus_size", metrics.WINDOW), ("trials", 1), ("images", 1)
         ):
             value = getattr(self, field)
             if not _is_int(value, low):
                 raise ConfigError(f"{field} must be an integer >= {low}, got {value!r}")
-        try:  # the configs a sweep point builds check their own fields
-            ChannelConfig(kind=self.channel_kind, block_len=self.block_len, seed=self.channel_seed)
+        if not (self.snr_points and self.q_points):
+            raise ConfigError("need at least one SNR point and one quality")
+        try:  # every point's config checks its own fields, so each point runs
             ModelConfig(init_seed=self.init_seed)
+            for snr_db in self.snr_points:
+                self.point(self.q_points[0], snr_db)
+            for q in self.q_points:
+                self.point(q, self.snr_points[0])
         except ValueError as exc:
-            raise ConfigError(f"bad channel or model value: {exc}") from None
-        if self.trials < 1 or self.images < 1:
-            raise ConfigError("trials and images must be positive")
-        if not self.snr_points:
-            raise ConfigError("need at least one SNR point")
-        for q in (self.q,) + tuple(self.q_points):
-            if not 1 <= q <= 100:
-                raise ConfigError(f"quality {q} outside 1..100")
-        if not self.q_points:
-            object.__setattr__(self, "q_points", (self.q,))
+            raise ConfigError(f"bad sweep value: {exc}") from None
+
+    def point(self, q, snr_db) -> PipelineConfig:
+        """The PipelineConfig that the sweep point (q, snr_db) runs."""
+        return PipelineConfig(
+            q=q,
+            code=self.code,
+            channel=ChannelConfig(
+                kind=self.channel_kind,
+                snr_db=snr_db,
+                block_len=self.block_len,
+                seed=self.channel_seed,
+            ),
+            semantic=self.semantic,
+        )
 
 
 def _parse_bool(text):
@@ -110,14 +118,12 @@ def _parse_points(text, cast):
 
 # (section, key) -> (ExperimentConfig field, value parser)
 _SCHEMA = {
-    ("corpus", "count"): ("corpus_count", int),
     ("corpus", "size"): ("corpus_size", int),
     ("corpus", "seed"): ("corpus_seed", int),
     ("corpus", "ppm_dir"): ("ppm_dir", str),
     ("channel", "kind"): ("channel_kind", str),
     ("channel", "block_len"): ("block_len", int),
     ("channel", "seed"): ("channel_seed", int),
-    ("pipeline", "q"): ("q", int),
     ("pipeline", "code"): ("code", str),
     ("pipeline", "semantic"): ("semantic", _parse_bool),
     ("model", "checkpoint"): ("checkpoint", str),
@@ -194,10 +200,6 @@ def default_config_text() -> str:
             lines.append(f"\n[{sec}]")
             section = sec
         value = getattr(cfg, field)
-        if field == "q_points":
-            # derived from pipeline.q unless set explicitly
-            lines.append(f"# {key} =")
-            continue
         if isinstance(value, bool):
             value = "true" if value else "false"
         if isinstance(value, tuple):

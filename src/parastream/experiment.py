@@ -23,7 +23,6 @@ from .ldpc import MAX_ITER_DEFAULT
 from .pipeline import (
     DEFAULT_TABLE,
     ModelConfig,
-    PipelineConfig,
     SemanticModel,
     load_code,
     send_coded,
@@ -47,13 +46,13 @@ class MetricsRow:
 
 
 def load_corpus(cfg: ExperimentConfig):
-    """The procedural corpus, or every .ppm under cfg.ppm_dir."""
+    """``cfg.images`` procedural images, or every .ppm under cfg.ppm_dir."""
     if cfg.ppm_dir:
         paths = sorted(pathlib.Path(cfg.ppm_dir).glob("*.ppm"))
         if not paths:
             raise FileNotFoundError(f"no .ppm files under {cfg.ppm_dir}")
         return [data.read_ppm(p) for p in paths]
-    return data.make_corpus(cfg.corpus_count, cfg.corpus_size, cfg.corpus_seed)
+    return data.make_corpus(cfg.images, cfg.corpus_size, cfg.corpus_seed)
 
 
 def load_experiment_model(cfg: ExperimentConfig):
@@ -106,17 +105,7 @@ def sweep_rows(cfg: ExperimentConfig, images=None, model=None):
     rows = []
     for q in cfg.q_points:
         for snr_db in cfg.snr_points:
-            pcfg = PipelineConfig(
-                q=q,
-                code=cfg.code,
-                channel=ChannelConfig(
-                    kind=cfg.channel_kind,
-                    snr_db=snr_db,
-                    block_len=cfg.block_len,
-                    seed=cfg.channel_seed,
-                ),
-                semantic=cfg.semantic,
-            )
+            pcfg = cfg.point(q, snr_db)
             for seed in range(cfg.trials):
                 rows.append(evaluate_point(images, pcfg, model, seed))
     return rows

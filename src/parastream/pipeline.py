@@ -85,7 +85,7 @@ class SemanticModel(Module):
         self.stage = 0  # training progress marker; see training.train
         self.encoder = SemanticEncoder(rng, widths=cfg.encoder_widths)
         self.decoder = SemanticDecoder(rng, latent_widths=cfg.latent_widths, growth=cfg.growth)
-        self.hyper = HyperSynthesis(c_s, c_s, rng)
+        self.hyper = HyperSynthesis(c_s, rng)
         self.prior = FactorizedPrior(c_s, rng)
         self.banks = RateBanks(c_s)
 

@@ -59,13 +59,13 @@ def likelihood(s_tilde: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
 
 
 class HyperSynthesis(Module):
-    """conv - LeakyReLU - conv mapping r̃ to (mu, sigma) for s̃; the
-    hidden layer is as wide as r̃."""
+    """conv - LeakyReLU - conv mapping r̃ to (mu, sigma) for s̃; r̃, the
+    hidden layer and s̃ are all c_s wide."""
 
-    def __init__(self, c_r, c_s, rng):
+    def __init__(self, c_s, rng):
         super().__init__()
-        self.conv1 = Conv2d(c_r, c_r, 3, rng)
-        self.conv2 = Conv2d(c_r, 2 * c_s, 3, rng)
+        self.conv1 = Conv2d(c_s, c_s, 3, rng)
+        self.conv2 = Conv2d(c_s, 2 * c_s, 3, rng)
         self.c_s = c_s
 
     def __call__(self, r_tilde: Tensor):

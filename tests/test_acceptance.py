@@ -164,7 +164,7 @@ def _gradient_battery(rng):
         )
     )
 
-    hyper = HyperSynthesis(2, 2, rng)
+    hyper = HyperSynthesis(2, rng)
     rh = _leaf(rng, (1, 2, 3, 3))
     pm = rng.normal(size=(1, 2, 3, 3))
     ps = rng.normal(size=(1, 2, 3, 3))
@@ -489,7 +489,6 @@ def test_09_cliff_effect(desk_corpus):
 def test_10_sweep_reproducibility(tmp_path):
     template = (
         "[corpus]\n"
-        "count = 4\n"
         "size = 16\n"
         "seed = 1000\n"
         "\n"

@@ -1,6 +1,6 @@
 """scripts/bench_pairs.py judges each end-to-end metric against its bound,
 compares the quality figures of each pair and counts each side's source
-lines."""
+lines and config fields."""
 
 import importlib.util
 import pathlib
@@ -106,3 +106,37 @@ def test_line_counts_cover_src_python_files_only(tmp_path):
         "  pkg/b.py 1 -> 0 (-1)",
     ]
     assert bench_pairs.line_counts(change, parent).splitlines()[0].endswith("(+1)")
+
+
+def test_field_counts_cover_config_dataclasses_under_src(tmp_path):
+    bench_pairs = load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    header = "from dataclasses import dataclass\nimport dataclasses\n\n"
+    files = {
+        parent / "src" / "a.py": header
+        + "@dataclass(frozen=True)\nclass AConfig:\n    x: int = 1\n    y: int = 2\n\n"
+        "    def check(self):\n        z: int = 3\n        return z\n\n"
+        # not a dataclass, and a dataclass not named *Config: neither counts
+        "class PlainConfig:\n    x: int = 1\n\n"
+        "@dataclass\nclass Other:\n    x: int = 1\n",
+        parent / "tests" / "t.py": header + "@dataclass\nclass TConfig:\n    x: int = 1\n",
+        change / "src" / "a.py": header
+        + "@dataclass(frozen=True)\nclass AConfig:\n    x: int = 1\n",
+        change / "src" / "pkg" / "b.py": header
+        + "@dataclasses.dataclass\nclass BConfig:\n    u: int = 1\n    v: str = ''\n",
+    }
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert bench_pairs.config_fields(parent) == {"AConfig": 2}
+    # every class is listed; a class on one side only counts 0 on the other
+    assert bench_pairs.field_counts(parent, change).splitlines() == [
+        "*Config dataclass fields: parent 2, change 3 (+1)",
+        "  AConfig 2 -> 1 (-1)",
+        "  BConfig 0 -> 2 (+2)",
+    ]
+    assert bench_pairs.field_counts(change, change).splitlines() == [
+        "*Config dataclass fields: parent 3, change 3 (+0)",
+        "  AConfig 1 -> 1",
+        "  BConfig 2 -> 2",
+    ]

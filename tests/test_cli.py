@@ -166,7 +166,7 @@ class TestSweepCommand:
     def test_config_runs_and_lists_outputs(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
         ini.write_text(
-            "[corpus]\ncount = 2\nsize = 16\n"
+            "[corpus]\nsize = 16\n"
             "[pipeline]\nsemantic = false\n"
             f"[sweep]\nsnr_db = 8\ntrials = 1\nimages = 1\nout = {tmp_path}/s\n",
             encoding="utf-8",
@@ -176,11 +176,15 @@ class TestSweepCommand:
         assert len(out) == 5
         assert out[0].endswith("s.csv")
 
-    @pytest.mark.parametrize("count", [1, 2])  # count = 0 fails at parse
+    @pytest.mark.parametrize("count", [1, 2])
     def test_corpus_smaller_than_images_fails_cleanly(self, tmp_path, capsys, count):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, img in enumerate(toy_images(count, size=16)):
+            data.write_ppm(corpus / f"img{i}.ppm", img)
         ini = tmp_path / "exp.ini"
         ini.write_text(
-            f"[corpus]\ncount = {count}\nsize = 16\n"
+            f"[corpus]\nppm_dir = {corpus}\n"
             "[pipeline]\nsemantic = false\n"
             f"[sweep]\nsnr_db = 8\ntrials = 1\nimages = 8\nout = {tmp_path}/s\n",
             encoding="utf-8",
@@ -188,6 +192,13 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "images = 8" in err and f"holds {count}" in err
+        assert not list(tmp_path.glob("s*"))
+
+    def test_unbuildable_point_fails_before_any_point_runs(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[sweep]\nsnr_db = 20,-inf\nout = {tmp_path}/s\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(ini)]) == 2
+        assert "snr_db must not be -inf" in capsys.readouterr().err
         assert not list(tmp_path.glob("s*"))
 
     def test_bad_config_reports_line(self, tmp_path, capsys):

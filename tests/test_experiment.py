@@ -1,6 +1,8 @@
 """Config grammar, sweep artifacts, and the FER probe."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from helpers import toy_model
 
 def sweep_config(**overrides):
     base = dict(
-        corpus_count=4,
         corpus_size=16,
         semantic=False,
         snr_points=(8.0,),
@@ -28,9 +29,8 @@ class TestConfigGrammar:
     def test_empty_text_gives_defaults(self):
         assert config.parse_config("") == ExperimentConfig()
 
-    def test_defaults_fill_q_points(self):
-        cfg = config.parse_config("[pipeline]\nq = 30\n")
-        assert cfg.q_points == (30,)
+    def test_quality_grid_defaults_to_one_point(self):
+        assert config.parse_config("[sweep]\ntrials = 2\n").q_points == (50,)
 
     def test_template_parses_back_to_defaults(self):
         assert config.parse_config(config.default_config_text()) == ExperimentConfig()
@@ -46,13 +46,24 @@ class TestConfigGrammar:
 
     def test_unknown_section_is_line_anchored(self):
         with pytest.raises(ConfigError) as err:
-            config.parse_config("[pipeline]\nq = 50\n\n[nope]\nx = 1\n")
+            config.parse_config("[pipeline]\nsemantic = true\n\n[nope]\nx = 1\n")
         assert err.value.line == 4
         assert "unknown section" in str(err.value)
 
-    def test_unknown_key_is_line_anchored(self):
-        with pytest.raises(ConfigError) as err:
-            config.parse_config("[sweep]\ntrials = 3\nbogus = 1\n")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[sweep]\ntrials = 3\nbogus = 1\n",
+            # keys of older files: [sweep] images sizes the corpus and
+            # [sweep] q is the only quality list
+            "[corpus]\nsize = 16\ncount = 4\n",
+            "[pipeline]\nsemantic = false\nq = 30\n",
+        ],
+        ids=["bogus", "corpus-count", "pipeline-q"],
+    )
+    def test_unknown_key_is_line_anchored(self, text):
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            config.parse_config(text)
         assert err.value.line == 3
 
     def test_bad_value_is_line_anchored(self):
@@ -86,11 +97,11 @@ class TestConfigGrammar:
         "text, match",
         [
             ("[corpus]\nseed = -1\n", r"corpus_seed must be an integer >= 0, got -1$"),
-            ("[corpus]\ncount = 0\n", r"corpus_count must be an integer >= 1, got 0$"),
-            ("[corpus]\ncount = -3\n", r"corpus_count must be an integer >= 1, got -3$"),
+            ("[sweep]\nimages = 0\n", r"images must be an integer >= 1, got 0$"),
+            ("[sweep]\nimages = -3\n", r"images must be an integer >= 1, got -3$"),
             ("[corpus]\nsize = 7\n", r"corpus_size must be an integer >= 11, got 7$"),
         ],
-        ids=["negative-seed", "zero-count", "negative-count", "size-below-window"],
+        ids=["negative-seed", "zero-images", "negative-images", "size-below-window"],
     )
     def test_bad_corpus_values_rejected_at_parse(self, text, match):
         # each used to pass parsing and fail only inside sweep_rows
@@ -98,8 +109,8 @@ class TestConfigGrammar:
             config.parse_config(text)
 
     def test_smallest_corpus_values_accepted(self):
-        cfg = config.parse_config("[corpus]\ncount = 1\nsize = 11\nseed = 0\n")
-        assert (cfg.corpus_count, cfg.corpus_size, cfg.corpus_seed) == (1, 11, 0)
+        cfg = config.parse_config("[corpus]\nsize = 11\nseed = 0\n[sweep]\nimages = 1\n")
+        assert (cfg.images, cfg.corpus_size, cfg.corpus_seed) == (1, 11, 0)
 
     def test_bad_range_step(self):
         with pytest.raises(ConfigError, match="step"):
@@ -108,7 +119,7 @@ class TestConfigGrammar:
     @pytest.mark.parametrize("points", ["6:2:2", "4:3:1", "4:3.5:1"])
     def test_reversed_range_is_empty(self, points):
         with pytest.raises(ConfigError, match="empty range") as err:
-            config.parse_config(f"[pipeline]\nq = 50\n\n[sweep]\nsnr_db = {points}\n")
+            config.parse_config(f"[pipeline]\nsemantic = true\n\n[sweep]\nsnr_db = {points}\n")
         assert err.value.line == 5
 
     @pytest.mark.parametrize(
@@ -135,7 +146,7 @@ class TestConfigGrammar:
     )
     def test_bad_points_are_line_anchored(self, line, match):
         with pytest.raises(ConfigError, match=match) as err:
-            config.parse_config(f"[pipeline]\nq = 50\n\n[sweep]\n{line}\n")
+            config.parse_config(f"[pipeline]\nsemantic = true\n\n[sweep]\n{line}\n")
         assert err.value.line == 5
 
     def test_range_of_the_ceiling_and_a_listed_inf_snr_accepted(self):
@@ -144,15 +155,67 @@ class TestConfigGrammar:
         cfg = config.parse_config("[sweep]\nsnr_db = 4,inf\n")
         assert cfg.snr_points == (4.0, math.inf)
 
-    def test_quality_bounds(self):
-        with pytest.raises(ConfigError, match="1..100"):
-            ExperimentConfig(q=0)
-        with pytest.raises(ConfigError, match="1..100"):
-            ExperimentConfig(q_points=(10, 101))
+    @pytest.mark.parametrize("q_points", [(0,), (10, 101)])
+    def test_quality_bounds(self, q_points):
+        with pytest.raises(ConfigError, match=r"q must be an integer in \[1, 100\]"):
+            ExperimentConfig(q_points=q_points)
 
     def test_positive_counts(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="trials must be an integer >= 1, got 0"):
             ExperimentConfig(trials=0)
+
+    @pytest.mark.parametrize("field", ["snr_points", "q_points"])
+    def test_empty_grid_rejected(self, field):
+        with pytest.raises(ConfigError, match="at least one SNR point and one quality"):
+            ExperimentConfig(**{field: ()})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(trials=2.5), r"trials must be an integer >= 1, got 2\.5$"),
+            (dict(images=1.5), r"images must be an integer >= 1, got 1\.5$"),
+            (dict(trials=True), r"trials must be an integer >= 1, got True$"),
+            (dict(q_points=(50, 10.5)), r"q must be an integer in \[1, 100\], got 10\.5$"),
+            (dict(snr_points=(20.0, -math.inf)), r"snr_db must not be -inf$"),
+            (dict(snr_points=(math.nan,)), r"snr_db must not be NaN$"),
+            ("[sweep]\nsnr_db = 20,-inf\n", r"snr_db must not be -inf$"),
+        ],
+        ids=["fractional-trials", "fractional-images", "bool-trials", "fractional-q",
+             "minus-inf-snr", "nan-snr", "minus-inf-snr-ini"],
+    )
+    def test_every_point_checked_before_any_transmit(
+        self, overrides, match, tmp_path, monkeypatch
+    ):
+        # each used to build a config that ran some points, or none,
+        # before failing elsewhere
+        sent = []
+        monkeypatch.setattr(experiment, "transmit_image", lambda *a, **k: sent.append(a))
+        with pytest.raises(ConfigError, match=match):
+            if isinstance(overrides, str):
+                ini = tmp_path / "exp.ini"
+                ini.write_text(overrides + f"out = {tmp_path}/s\n", encoding="utf-8")
+                experiment.run_experiment(ini)
+            else:
+                experiment.sweep_rows(sweep_config(**overrides))
+        assert sent == [] and not list(tmp_path.glob("s*"))
+
+    def test_docs_list_exactly_the_schema_keys(self):
+        docs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "config.md"
+        listed, section = {}, None
+        for line in docs.read_text(encoding="utf-8").splitlines():
+            header = re.match(r"#{2,3} (`\[(\w+)\]`)?", line)
+            if header:
+                section = header.group(2)
+                if section:
+                    listed[section] = []
+            elif section and line.startswith("| ") and not line.startswith("| key "):
+                listed[section].append(line.split("|")[1].strip())
+        schema = {}
+        for section, key in config._SCHEMA:
+            schema.setdefault(section, []).append(key)
+        assert {s: sorted(keys) for s, keys in listed.items()} == {
+            s: sorted(keys) for s, keys in schema.items()
+        }
 
     def test_load_config_reads_files(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -233,20 +296,22 @@ class TestSweep:
             rows = [l for l in block.splitlines() if not l.startswith("#")]
             assert all(len(r.split()) == 2 for r in rows)
 
-    @pytest.mark.parametrize("count", [1, 2])  # count = 0 fails at parse
-    def test_corpus_smaller_than_images_rejected(self, count, monkeypatch):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_corpus_smaller_than_images_rejected(self, count, tmp_path, monkeypatch):
         def reached(*args, **kwargs):
             raise AssertionError("transmitted before the corpus was checked")
 
         monkeypatch.setattr(experiment, "transmit_image", reached)
-        cfg = sweep_config(corpus_count=count, images=8)
+        for i, img in enumerate(data.make_corpus(count, 16, 0)):
+            data.write_ppm(tmp_path / f"img{i}.ppm", img)
+        cfg = sweep_config(ppm_dir=str(tmp_path), images=8)
         with pytest.raises(ValueError, match=rf"images = 8 .* holds {count}$"):
             experiment.sweep_rows(cfg)
 
     def test_run_experiment_end_to_end(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(
-            "[corpus]\ncount = 4\nsize = 16\n"
+            "[corpus]\nsize = 16\n"
             "[pipeline]\nsemantic = false\n"
             f"[sweep]\nsnr_db = 8\ntrials = 1\nimages = 2\nout = {tmp_path}/run\n",
             encoding="utf-8",
@@ -270,7 +335,7 @@ class TestCorpusLoading:
             experiment.load_corpus(sweep_config(ppm_dir=str(tmp_path)))
 
     def test_procedural_corpus_dimensions(self):
-        images = experiment.load_corpus(sweep_config(corpus_count=3, corpus_size=32))
+        images = experiment.load_corpus(sweep_config(images=3, corpus_size=32))
         assert len(images) == 3
         assert images[0].shape == (32, 32, 3)
 

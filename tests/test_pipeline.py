@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from parastream import autodiff, codec, data, ldpc, metrics, pipeline, training
 from parastream.autodiff import DimensionError, Tensor
 from parastream.channel import ChannelConfig
+from parastream.config import ExperimentConfig
 from parastream.decoder import SemanticDecoder
 from parastream.encoder import SemanticEncoder
 from parastream.layers import ConvTranspose2d, frozen
 from parastream.modem import qpsk_modulate
+from parastream.rate import HyperSynthesis
 from parastream.rng import make_rng
 from parastream.training import TrainConfig
 
@@ -221,13 +223,23 @@ class TestConfigValidation:
         # adding one changes this list on purpose
         names = {
             cls: tuple(f.name for f in fields(cls))
-            for cls in (ChannelConfig, pipeline.ModelConfig, pipeline.PipelineConfig, TrainConfig)
+            for cls in (
+                ChannelConfig, pipeline.ModelConfig, pipeline.PipelineConfig, TrainConfig,
+                ExperimentConfig,
+            )
         }
         assert names == {
             ChannelConfig: ("kind", "snr_db", "block_len", "seed"),
             pipeline.ModelConfig: ("encoder_widths", "latent_widths", "growth", "init_seed"),
             pipeline.PipelineConfig: ("q", "code", "channel", "lambda1", "semantic"),
             TrainConfig: ("stage", "steps", "batch_size", "lr", "snr_set", "seed"),
+            # [sweep] images sizes the procedural corpus and [sweep] q is
+            # the only quality list
+            ExperimentConfig: (
+                "corpus_size", "corpus_seed", "ppm_dir", "channel_kind", "block_len",
+                "channel_seed", "code", "semantic", "checkpoint", "init_seed", "snr_points",
+                "q_points", "trials", "images", "out",
+            ),
         }
         # the transpose conv always doubles: kernel, stride and padding are constants
         assert tuple(inspect.signature(ConvTranspose2d).parameters) == ("c_in", "c_out", "rng")
@@ -235,6 +247,8 @@ class TestConfigValidation:
         assert tuple(inspect.signature(SemanticDecoder).parameters) == (
             "rng", "latent_widths", "growth"
         )
+        # the hyperlatent r̃ is as wide as s̃
+        assert tuple(inspect.signature(HyperSynthesis).parameters) == ("c_s", "rng")
 
     def test_model_width_contracts(self):
         with pytest.raises(ValueError, match="latent"):

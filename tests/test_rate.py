@@ -83,8 +83,8 @@ class TestLikelihood:
 
 class TestHyperSynthesis:
     def test_zero_input_at_init(self):
-        net = rate.HyperSynthesis(4, 3, make_rng(1))
-        mu, sigma = net(Tensor(np.zeros((1, 4, 6, 6))))
+        net = rate.HyperSynthesis(3, make_rng(1))
+        mu, sigma = net(Tensor(np.zeros((1, 3, 6, 6))))
         assert mu.data.shape == (1, 3, 6, 6)
         assert sigma.data.shape == (1, 3, 6, 6)
         np.testing.assert_array_equal(mu.data, 0.0)
@@ -93,12 +93,12 @@ class TestHyperSynthesis:
         )
 
     def test_sigma_positive_everywhere(self):
-        net = rate.HyperSynthesis(2, 2, make_rng(2))
+        net = rate.HyperSynthesis(2, make_rng(2))
         _, sigma = net(Tensor(make_rng(3).standard_normal((2, 2, 5, 5)) * 10))
         assert sigma.data.min() >= rate.SIGMA_FLOOR
 
     def test_gradients_match_finite_differences(self):
-        net = rate.HyperSynthesis(2, 2, make_rng(4))
+        net = rate.HyperSynthesis(2, make_rng(4))
         x = Tensor(make_rng(5).standard_normal((1, 2, 4, 4)))
         proj_mu = Tensor(make_rng(6).standard_normal((1, 2, 4, 4)))
         proj_sigma = Tensor(make_rng(7).standard_normal((1, 2, 4, 4)))
