@@ -28,6 +28,8 @@ of each side and their signed difference, then each file whose count
 differs between the sides. Last come the fields of each side's
 ``*Config`` dataclasses under ``src``, in total and per class, so an
 options change is measured the way a line change is.
+A run that exits non-zero or fails its checks stops the script with
+run.py's stderr, the ``errors`` of its record line and its result line.
 Standard library only; run it from any directory of the repository.
 """
 
@@ -65,6 +67,35 @@ def export(ref: str, dest: pathlib.Path) -> pathlib.Path:
     return dest
 
 
+def output_lines(stdout: str):
+    """run.py's record line (the second-to-last line of its output) and
+    result line (the last), each None where it does not parse as a JSON
+    object."""
+    lines = ["", ""] + stdout.splitlines()
+    parsed = []
+    for line in lines[-2:]:
+        try:
+            value = json.loads(line)
+        except ValueError:
+            value = None
+        parsed.append(value if isinstance(value, dict) else None)
+    return parsed
+
+
+def failure_cause(stderr: str, record, result) -> str:
+    """What a failed run says about its failure: its stderr, then the
+    operation errors of its record line and its result line, where
+    those parsed. run.py writes an operation's failure only into the
+    record's ``errors``, not to stderr."""
+    cause = [stderr.rstrip()] if stderr.strip() else []
+    errors = (record or {}).get("record", {}).get("errors")
+    if errors is not None:
+        cause.append(f"record errors: {json.dumps(errors)}")
+    if result is not None:
+        cause.append(f"result: {json.dumps(result)}")
+    return "\n".join(cause) or "no output"
+
+
 def run_once(checkout: pathlib.Path, args, seed: int):
     """End-to-end metric values and the quality figures of one
     ``perfbench/run.py`` run."""
@@ -75,12 +106,10 @@ def run_once(checkout: pathlib.Path, args, seed: int):
     if args.seconds is not None:
         cmd += ["--seconds", str(args.seconds)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if out.returncode != 0:
+    record, result = output_lines(out.stdout)
+    if out.returncode != 0 or not (result and result["correct"] and not result["failed"]):
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
-                 f"{out.stderr}")
-    record, result = map(json.loads, out.stdout.splitlines()[-2:])
-    if not result["correct"] or result["failed"]:
-        sys.exit(f"bench_pairs: run in {checkout} failed its checks: {result}")
+                 f"{failure_cause(out.stderr, record, result)}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, record["record"]["quality"]
 

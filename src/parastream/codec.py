@@ -84,16 +84,11 @@ def quant_table(q: int) -> np.ndarray:
     return np.clip(np.round(BASE_QUANT * scale / 100.0), 1, 255).astype(np.int64)
 
 
-def _dct_matrix() -> np.ndarray:
-    d = np.zeros((8, 8))
-    j = np.arange(8)
-    d[0, :] = 1.0 / np.sqrt(8.0)
-    for i in range(1, 8):
-        d[i, :] = 0.5 * np.cos((2 * j + 1) * i * np.pi / 16.0)
-    return d
-
-
-DCT = _dct_matrix()
+# orthonormal DCT-II rows, and their exact integer form at scale 2^24
+# for the forward transform, whose int64 sums are exact in any order
+DCT = 0.5 * np.cos(np.outer(np.arange(8), 2 * np.arange(8) + 1) * np.pi / 16.0)
+DCT[0] = 1.0 / np.sqrt(8.0)
+DCT_INT = np.round(DCT * 2**24).astype(np.int64)
 
 
 def _zigzag_order():
@@ -184,21 +179,22 @@ def _extend_amplitude(bits, size):
     return np.where(bits < ((1 << size) >> 1), bits - (1 << size) + 1, bits)
 
 
-def _forward_blocks(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    # one C-ordered plane per call and an einsum, not a matmul: the
-    # einsum's sum order depends on the batch size and on the memory
-    # layout (a plane one block tall or wide reshapes to a strided view),
-    # and a matmul regroups the sum; each moves np.round at half-integer
-    # ties and so the bytes
-    coeff = np.einsum("ij,bjk,lk->bil", DCT, np.ascontiguousarray(blocks) - 128.0, DCT)
-    quant = np.round(coeff / table)
+def _forward_blocks(planes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Quantized coefficients of int64 C x H x W planes on the 0..255
+    scale, as [planes, blocks, 64] in row-major order within a block."""
+    c, h, w = planes.shape
+    blocks = planes.reshape(c, h // 8, 8, w // 8, 8).transpose(0, 1, 3, 2, 4)
+    # |coeff| <= 128 * (8 * DCT_INT[0, 0])**2 < 1.0000002 * 2**58 and
+    # d < 2**56, so 2|coeff| + d < 2**60: no int64 sum overflows
+    coeff = (DCT_INT @ (blocks.reshape(-1, 8, 8) - 128) @ DCT_INT.T).reshape(c, -1, 64)
+    d = table.reshape(64) << 48
+    quant = np.sign(coeff) * ((2 * np.abs(coeff) + d) // (2 * d))
     # L2 keeps any single coefficient within +-1024; the prefix code tops
     # out at 10-bit AC amplitudes, so pin the corner case
-    quant[:, :, :] = np.clip(quant, -1023, 1023)
-    quant[:, 0, 0] = np.clip(np.round(coeff[:, 0, 0] / table[0, 0]), -1024, 1016)
-    return quant.astype(np.int64)
+    dc = np.clip(quant[:, :, 0], -1024, 1016)
+    quant = np.clip(quant, -1023, 1023)
+    quant[:, :, 0] = dc
+    return quant
 
 
 def _inverse_blocks(quant: np.ndarray, table: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -278,12 +274,11 @@ def compress(x: np.ndarray, q: int) -> bytes:
     if h > 0xFFFF or w > 0xFFFF or c > 0xFF:
         raise CodecError(f"image dims exceed header field widths: {x.shape}")
     table = quant_table(q)
-    pixels = np.clip(np.round(x * 255.0), 0, 255)
+    pixels = np.clip(np.round(x * 255.0), 0, 255).astype(np.int64).transpose(2, 0, 1)
     pad_h, pad_w = (-h) % 8, (-w) % 8
     if pad_h or pad_w:
-        pixels = np.pad(pixels, ((0, pad_h), (0, pad_w), (0, 0)), mode="edge")
-    quant = np.stack([_forward_blocks(pixels[:, :, ch], table) for ch in range(c)])
-    payload, total = _pack(*_fields(quant.reshape(c, -1, 64)[:, :, ZIGZAG_FLAT]))
+        pixels = np.pad(pixels, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    payload, total = _pack(*_fields(_forward_blocks(pixels, table)[:, :, ZIGZAG_FLAT]))
     header = _HEADER.pack(MAGIC, VERSION, h, w, c, int(q), pad_h, pad_w, total)
     return header + payload
 

@@ -28,7 +28,7 @@ from .pipeline import (
     send_coded,
     transmit_image,
 )
-from .rng import make_rng
+from .rng import _is_int, make_rng
 
 CSV_COLUMNS = ("snr_db", "cbr", "psnr_db", "ms_ssim", "corruption_rate", "seed")
 FER_CHUNK = 500  # frames per send_coded call; fer_monte_carlo keys trials on it
@@ -174,8 +174,8 @@ def fer_monte_carlo(
     trial c. A frame errs when decoding fails to converge or the info
     bits it recovers differ from the ones sent.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be at least 1, got {frames}")
+    if not _is_int(frames, 1):
+        raise ValueError(f"frames must be an integer >= 1, got {frames!r}")
     pcm = load_code(code)
     chan = ChannelConfig(kind="awgn", snr_db=snr_db, seed=seed)
     rng = make_rng(seed)

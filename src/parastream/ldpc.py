@@ -82,6 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _is_int
+
 MAX_ITER_DEFAULT = 50
 # the decoder's float32 half-scale arithmetic (see the module docstring):
 # LLRs are clipped to LLR_CAP before the cast, a check product to the
@@ -423,8 +425,8 @@ def ldpc_decode_bp(pcm, llr, max_iter=MAX_ITER_DEFAULT):
     llr = np.atleast_2d(llr)
     if llr.shape[1] != pcm.n:
         raise LdpcError(f"expected {pcm.n} LLRs, got {llr.shape[1]}")
-    if max_iter < 0:
-        raise LdpcError(f"max_iter must be nonnegative, got {max_iter}")
+    if not _is_int(max_iter, 0):
+        raise LdpcError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     finite = np.isfinite(llr).all(axis=1)
     if not finite.all():
         raise LdpcError(f"frame {int(np.argmin(finite))} holds non-finite LLRs")

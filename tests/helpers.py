@@ -1,6 +1,8 @@
 """Shared test utilities: finite-difference gradient checks and
 brute-force oracles that the fast implementations are compared against."""
 
+import math
+
 import numpy as np
 
 from parastream.ldpc import MAX_ITER_DEFAULT
@@ -475,9 +477,73 @@ def float64_training_chain(monkeypatch):
 
 # Bit-serial block-DCT coder: the reference that codec.compress and
 # codec.decompress must match byte for byte and decode for decode. It
-# writes one field at a time through a bit accumulator, reads one bit
-# per call, searches code lengths 1..16 for every symbol, and runs the
-# inverse DCT as a three-operand einsum.
+# runs the forward DCT in Python ints one block at a time, writes one
+# field at a time through a bit accumulator, reads one bit per call,
+# searches code lengths 1..16 for every symbol, and runs the inverse DCT
+# as a three-operand einsum.
+
+
+def codec_planes(x):
+    """The int64 C x H x W planes codec.compress transforms: x on the
+    0..255 scale, edge-padded to whole 8 x 8 blocks."""
+    h, w, _ = x.shape
+    pixels = np.clip(np.round(np.asarray(x, dtype=np.float64) * 255.0), 0, 255)
+    pixels = np.pad(pixels, ((0, (-h) % 8), (0, (-w) % 8), (0, 0)), mode="edge")
+    return pixels.astype(np.int64).transpose(2, 0, 1)
+
+
+def _blocks(plane):
+    """The 8 x 8 blocks of a plane, row by row."""
+    hp, wp = plane.shape
+    return plane.reshape(hp // 8, 8, wp // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+
+
+def _dct_entry(i, j):
+    return math.sqrt(0.125) if i == 0 else 0.5 * math.cos((2 * j + 1) * i * math.pi / 16)
+
+
+# the orthonormal DCT-II scaled by 2^24 and rounded, as Python ints
+DCT_INT_ORACLE = np.array(
+    [[round(2**24 * _dct_entry(i, j)) for j in range(8)] for i in range(8)], dtype=object
+)
+
+
+def forward_blocks_oracle(planes, table):
+    """codec._forward_blocks one block at a time in Python ints, which
+    cannot overflow: D X D^T of the block less 128, then c / (table <<
+    48) rounded half away from zero and clipped, AC to +-1023 and DC to
+    [-1024, 1016]."""
+    out = []
+    for plane in planes:
+        for block in _blocks(plane).astype(object):
+            coeff = (DCT_INT_ORACLE @ (block - 128) @ DCT_INT_ORACLE.T).reshape(64)
+            row = []
+            for k, (c, t) in enumerate(zip(coeff, table.reshape(64))):
+                d = int(t) << 48
+                value = (2 * abs(c) + d) // (2 * d) * (1 if c >= 0 else -1)
+                low, high = (-1024, 1016) if k == 0 else (-1023, 1023)
+                row.append(min(max(value, low), high))
+            out.append(row)
+    return np.array(out, dtype=np.int64).reshape(len(planes), -1, 64)
+
+
+def forward_blocks_float(planes, table):
+    """The float transform the codec ran before its integer one: one
+    einsum per plane over C-ordered blocks, then np.round (half to even)
+    of c / table and the same clipping. Returns the quantized
+    coefficients, laid out as codec._forward_blocks lays them out, and
+    the unrounded quotients."""
+    from parastream import codec
+
+    quotient = []
+    for plane in planes:
+        blocks = np.ascontiguousarray(_blocks(plane)) - 128.0
+        coeff = np.einsum("ij,bjk,lk->bil", codec.DCT, blocks, codec.DCT)
+        quotient.append(coeff.reshape(-1, 64) / table.reshape(64))
+    quotient = np.stack(quotient)
+    quant = np.clip(np.round(quotient), -1023, 1023)
+    quant[:, :, 0] = np.clip(np.round(quotient[:, :, 0]), -1024, 1016)
+    return quant.astype(np.int64), quotient
 
 
 class _BitWriter:
@@ -605,20 +671,12 @@ def compress_oracle(x, q):
     table = codec.quant_table(q)
     dc_enc = _encoder_table_oracle(codec.DC_BITS, codec.DC_VALS)
     ac_enc = _encoder_table_oracle(codec.AC_BITS, codec.AC_VALS)
-    pixels = np.clip(np.round(x * 255.0), 0, 255)
     writer = _BitWriter()
     pad_h, pad_w = (-h) % 8, (-w) % 8
-    for ch in range(c):
-        plane = np.pad(pixels[:, :, ch], ((0, pad_h), (0, pad_w)), mode="edge")
-        hp, wp = plane.shape
-        blocks = plane.reshape(hp // 8, 8, wp // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-        blocks = np.ascontiguousarray(blocks) - 128.0
-        coeff = np.einsum("ij,bjk,lk->bil", codec.DCT, blocks, codec.DCT)
-        quant = np.clip(np.round(coeff / table), -1023, 1023)
-        quant[:, 0, 0] = np.clip(np.round(coeff[:, 0, 0] / table[0, 0]), -1024, 1016)
+    for quant in forward_blocks_oracle(codec_planes(x), table):
         prev_dc = 0
-        for block in quant.astype(np.int64):
-            zz = block.reshape(64)[codec.ZIGZAG_FLAT]
+        for block in quant:
+            zz = block[codec.ZIGZAG_FLAT]
             diff = int(zz[0]) - prev_dc
             prev_dc = int(zz[0])
             size, amp = _amplitude_bits_oracle(diff)

@@ -1,9 +1,14 @@
 """scripts/bench_pairs.py judges each end-to-end metric against its bound,
 compares the quality figures of each pair and counts each side's source
-lines and config fields."""
+lines and config fields, and names the cause of a failed run."""
 
+import argparse
 import importlib.util
+import json
 import pathlib
+import subprocess
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -140,3 +145,39 @@ def test_field_counts_cover_config_dataclasses_under_src(tmp_path):
         "  AConfig 1 -> 1",
         "  BConfig 2 -> 2",
     ]
+
+
+def _failed_run(bench_pairs, monkeypatch, tmp_path, returncode, stdout, stderr=""):
+    """The message ``run_once`` exits with when run.py, faked here by a
+    completed process, ends as given."""
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="conventional_cliff", seconds=None)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.run_once(tmp_path, args, 1)
+    return str(exit_info.value.code)
+
+
+def test_a_failed_run_names_its_operation_errors(monkeypatch, tmp_path):
+    bench_pairs = load_script()
+    record = {"record": {"workload": "conventional_cliff", "errors": ["LdpcError: frame 3"]}}
+    result = {"correct": False, "attempted": 9, "failed": 1, "metrics": {}}
+    stdout = "op_cpu_ms_p50  3.1 ms\n" + json.dumps(record) + "\n" + json.dumps(result) + "\n"
+    message = _failed_run(bench_pairs, monkeypatch, tmp_path, 1, stdout)
+    assert "exited 1" in message
+    assert 'record errors: ["LdpcError: frame 3"]' in message
+    assert f"result: {json.dumps(result)}" in message
+    # a run that exits 0 but reports a failed operation is a failure too
+    message = _failed_run(bench_pairs, monkeypatch, tmp_path, 0, stdout)
+    assert "exited 0" in message and "LdpcError: frame 3" in message
+
+
+def test_a_crashed_run_shows_its_stderr_alone(monkeypatch, tmp_path):
+    bench_pairs = load_script()
+    stderr = "Traceback (most recent call last):\nMemoryError\n"
+    message = _failed_run(bench_pairs, monkeypatch, tmp_path, 1, "partial\n", stderr)
+    assert message.endswith("Traceback (most recent call last):\nMemoryError")
+    assert "record errors" not in message and "result:" not in message
+    assert _failed_run(bench_pairs, monkeypatch, tmp_path, 1, "").endswith("no output")

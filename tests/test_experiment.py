@@ -390,7 +390,7 @@ class TestFerMonteCarlo:
         with pytest.raises(ValueError, match="snr_db must not be NaN"):
             experiment.fer_monte_carlo(np.nan, 5)
 
-    @pytest.mark.parametrize("frames", [0, -3])
+    @pytest.mark.parametrize("frames", [0, -3, 2.5, True, "2", None])
     def test_needs_a_frame(self, frames):
-        with pytest.raises(ValueError, match="frames must be at least 1"):
+        with pytest.raises(ValueError, match="frames must be an integer >= 1, got"):
             experiment.fer_monte_carlo(4.0, frames)

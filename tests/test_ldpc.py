@@ -348,6 +348,18 @@ class TestDecode:
         with pytest.raises(ldpc.LdpcError, match="max_iter"):
             ldpc.ldpc_decode_bp(desk_code, np.zeros(desk_code.n), max_iter=-3)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, "3", None])
+    def test_non_integer_max_iter_rejected(self, desk_code, max_iter):
+        with pytest.raises(ldpc.LdpcError, match="max_iter must be an integer >= 0, got"):
+            ldpc.ldpc_decode_bp(desk_code, np.zeros(desk_code.n), max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self, desk_code):
+        llr = np.full(desk_code.n, 4.0)
+        llr[:3] = -1.0
+        assert ldpc.ldpc_decode_bp(desk_code, llr, max_iter=np.int64(5))[2] == (
+            ldpc.ldpc_decode_bp(desk_code, llr, max_iter=5)[2]
+        )
+
     def test_extreme_llrs_decode_without_warnings(self, desk_code):
         # the float32 cast of an LLR past float32's range would overflow;
         # the decoder clips at LLR_CAP first
